@@ -30,7 +30,7 @@ use crate::scale::Scale;
 use darwin_cache::ThresholdPolicy;
 use darwin_gateway::{loadgen, Gateway, GatewayConfig, LoadgenConfig};
 use darwin_shard::{
-    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, RestartBudget,
+    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter, RestartBudget,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -165,7 +165,10 @@ pub fn run(scale: &Scale, out: &Path) {
             },
             cache.clone(),
             Box::new(HashRouter),
-            GatewayConfig { fault_plan: sc.plan, ..GatewayConfig::default() },
+            GatewayConfig {
+                boot: FleetBoot { fault_plan: sc.plan, ..FleetBoot::default() },
+                ..GatewayConfig::default()
+            },
             |_| StaticDriver::new(policy()),
         )
         .expect("bind loopback gateway");

@@ -25,30 +25,18 @@
 //! Output: a console table, `<out>/failover.csv`, and
 //! `<out>/BENCH_failover.json`.
 
+use crate::curve::{recovery_requests, steady_ohr, CurvePoint, RECOVERY_THRESHOLD};
 use crate::report::{f4, Report};
 use crate::scale::Scale;
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_shard::{
-    partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, RestartBudget,
-    ShardedFleet,
+    partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter,
+    RestartBudget, ShardedFleet,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use serde::Serialize;
 use std::path::Path;
-
-/// Fraction of steady-state hit ratio a post-failover window must reach to
-/// count as recovered.
-pub const RECOVERY_THRESHOLD: f64 = 0.95;
-
-/// One point of a windowed hit-ratio curve over shard 0's partition.
-#[derive(Debug, Clone, Serialize)]
-pub struct CurvePoint {
-    /// Per-shard request sequence number at the window's end.
-    pub seq: u64,
-    /// HOC object hit ratio within the window.
-    pub ohr: f64,
-}
 
 /// One scenario's measurements, fleet counters and replay curve together.
 #[derive(Debug, Clone, Serialize)]
@@ -164,26 +152,15 @@ fn replay(
         }
         if processed.is_multiple_of(window) {
             let cum = server.metrics();
-            let req_d = cum.requests - prev.requests;
-            let hit_d = cum.hoc_hits - prev.hoc_hits;
-            curve.push(CurvePoint {
-                seq: i + 1,
-                ohr: if req_d == 0 { 0.0 } else { hit_d as f64 / req_d as f64 },
-            });
+            curve.push(CurvePoint::window(
+                i + 1,
+                cum.requests - prev.requests,
+                cum.hoc_hits - prev.hoc_hits,
+            ));
             prev = cum;
         }
     }
     Replay { total: server.metrics(), curve }
-}
-
-/// First post-failover window reaching `threshold × steady`, as post-kill
-/// request count.
-fn recovery_requests(curve: &[CurvePoint], kill_at: u64, steady: f64, threshold: f64) -> Option<u64> {
-    curve
-        .iter()
-        .filter(|p| p.seq > kill_at)
-        .find(|p| p.ohr >= threshold * steady)
-        .map(|p| p.seq - kill_at)
 }
 
 /// Runs both scenarios and writes the table, CSV and `BENCH_failover.json`.
@@ -204,17 +181,12 @@ pub fn run(scale: &Scale, out: &Path) {
 
     // Crash-free control: steady state = windowed hit ratio over the last
     // quarter of shard 0's clean replay.
-    let clean = replay(&cache, &parts[0], &[], None, window);
-    let q = clean.curve.len() * 3 / 4;
-    let steady_ohr = {
-        let tail = &clean.curve[q..];
-        tail.iter().map(|p| p.ohr).sum::<f64>() / tail.len() as f64
-    };
+    let steady_ohr = steady_ohr(&replay(&cache, &parts[0], &[], None, window).curve);
 
     let mut rows = Vec::new();
     for (name, replicas) in [("replicated", 1usize), ("unreplicated", 0usize)] {
         let p = policy();
-        let mut fleet = ShardedFleet::with_fault_plan(
+        let mut fleet = ShardedFleet::with_boot(
             FleetConfig {
                 shards,
                 queue_capacity: 4096,
@@ -229,10 +201,13 @@ pub fn run(scale: &Scale, out: &Path) {
             cache.clone(),
             Box::new(HashRouter),
             move |_| StaticDriver::new(p),
-            FaultPlan::new(vec![
-                FaultEvent { shard: 0, at: kill1_at, kind: FaultKind::Panic },
-                FaultEvent { shard: 0, at: kill2_at, kind: FaultKind::Panic },
-            ]),
+            FleetBoot {
+                fault_plan: FaultPlan::new(vec![
+                    FaultEvent { shard: 0, at: kill1_at, kind: FaultKind::Panic },
+                    FaultEvent { shard: 0, at: kill2_at, kind: FaultKind::Panic },
+                ]),
+                ..FleetBoot::default()
+            },
         );
         fleet.submit_trace(&trace);
         let report = fleet.finish();
@@ -254,7 +229,7 @@ pub fn run(scale: &Scale, out: &Path) {
         };
         assert_eq!(s0.cache, rep.total, "{name}: fleet ≡ sequential replay");
 
-        let recovery = recovery_requests(&rep.curve, kill2_at, steady_ohr, RECOVERY_THRESHOLD);
+        let recovery = recovery_requests(&rep.curve, kill2_at, steady_ohr);
         rows.push(FailoverScenario {
             scenario: name.into(),
             replicas,
@@ -364,17 +339,6 @@ mod tests {
         // Processed everything before the burial except the one fatal.
         assert_eq!(buried.total.requests, 1_999);
         assert!(buried.curve.len() < 4_000 / 500);
-    }
-
-    #[test]
-    fn recovery_point_is_first_window_at_threshold() {
-        let curve = vec![
-            CurvePoint { seq: 500, ohr: 0.4 },
-            CurvePoint { seq: 1_000, ohr: 0.1 },
-            CurvePoint { seq: 1_500, ohr: 0.39 },
-        ];
-        assert_eq!(recovery_requests(&curve, 500, 0.4, 0.95), Some(1_000));
-        assert_eq!(recovery_requests(&curve, 500, 0.9, 0.95), None);
     }
 
     #[test]

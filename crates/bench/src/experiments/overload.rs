@@ -35,7 +35,7 @@ use darwin_gateway::netfault::{NetFaultEvent, NetFaultKind, NetFaultPlan};
 use darwin_gateway::wire::{encode_get, FrameReader, Message};
 use darwin_gateway::{loadgen, Gateway, GatewayConfig, LoadgenConfig, VerdictOutcome};
 use darwin_obs::encode_fleet_events;
-use darwin_shard::{Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter};
+use darwin_shard::{Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter};
 use darwin_testbed::{AdmissionDriver, StaticDriver};
 use darwin_trace::{
     compress_window, flash_crowd, popularity_inversion, MixSpec, Request, Trace, TraceGenerator,
@@ -233,7 +233,11 @@ fn run_shed(trace: &Trace, scale: &Scale, shards: usize) -> OverloadRow {
         },
         scale.cache_config(),
         Box::new(HashRouter),
-        GatewayConfig { fault_plan: stalls, conn_rate: Some(CONN_RATE), ..GatewayConfig::default() },
+        GatewayConfig {
+            boot: FleetBoot { fault_plan: stalls, ..FleetBoot::default() },
+            conn_rate: Some(CONN_RATE),
+            ..GatewayConfig::default()
+        },
         |_| SpinDriver { policy: policy(), spins: 400 },
     )
     .expect("bind loopback gateway");

@@ -28,6 +28,7 @@
 //! Output: a console table, `<out>/rebalance.csv`, and
 //! `<out>/BENCH_rebalance.json`.
 
+use crate::curve::{recovery_requests, steady_ohr, CurvePoint, RECOVERY_THRESHOLD};
 use crate::report::{f4, Report};
 use crate::scale::Scale;
 use darwin_cache::ThresholdPolicy;
@@ -35,26 +36,15 @@ use darwin_gateway::{loadgen, Gateway, GatewayConfig, LoadgenConfig};
 use darwin_rebalance::{
     theoretical_remap, ElasticFleet, RingRouter, TransferStat, DEFAULT_SEED, DEFAULT_VNODES,
 };
-use darwin_shard::{Backpressure, FleetConfig, GenerationSummary, Router};
+use darwin_shard::{Backpressure, FleetBoot, FleetConfig, GenerationSummary, Router};
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::path::Path;
 
-/// Fraction of steady-state hit ratio a post-resize window must regain.
-pub const RECOVERY_THRESHOLD: f64 = 0.95;
 /// Allowed relative error between measured and theoretical remap fraction.
 pub const REMAP_TOLERANCE: f64 = 0.10;
-
-/// One point of the windowed hit-ratio curve.
-#[derive(Debug, Clone, Serialize)]
-pub struct CurvePoint {
-    /// Fleet-wide request sequence number at the window's end.
-    pub seq: u64,
-    /// HOC object hit ratio within the window.
-    pub ohr: f64,
-}
 
 /// One resize's measurements.
 #[derive(Debug, Clone, Serialize)]
@@ -181,14 +171,6 @@ fn measured_remap(ring: &RingRouter, trace: &Trace, from: usize, to: usize) -> f
     moved as f64 / ids.len() as f64
 }
 
-/// Mean windowed hit ratio over the last quarter of the curve segment
-/// `[lo, hi)` — the steady state the next resize is measured against.
-fn steady_ohr(curve: &[CurvePoint], lo: usize, hi: usize) -> f64 {
-    let seg = &curve[lo..hi];
-    let tail = &seg[seg.len() * 3 / 4..];
-    tail.iter().map(|p| p.ohr).sum::<f64>() / tail.len() as f64
-}
-
 /// Runs the elastic scenario and part 2 with the default 4 → 8 → 4
 /// schedule, writes table, CSV and JSON.
 pub fn run(scale: &Scale, out: &Path) {
@@ -214,10 +196,9 @@ pub fn run_with(scale: &Scale, out: &Path, resize_to: usize) {
     let fleet = ElasticFleet::new(
         fleet_cfg(schedule[0], checkpoint_every),
         cache.clone(),
-        ring.clone(),
+        Box::new(ring.clone()),
         move |_| StaticDriver::new(p),
-        Some(ckpt_dir.clone()),
-        false,
+        FleetBoot { checkpoint_dir: Some(ckpt_dir.clone()), ..FleetBoot::default() },
     );
 
     let frames: Vec<Vec<Request>> =
@@ -249,11 +230,7 @@ pub fn run_with(scale: &Scale, out: &Path, resize_to: usize) {
             let m = fleet.metrics();
             if m.total_processed() + m.total_dropped() + m.total_unavailable() >= submitted {
                 let c = m.fleet_cache();
-                let (dr, dh) = (c.requests - prev.0, c.hoc_hits - prev.1);
-                curve.push(CurvePoint {
-                    seq: submitted,
-                    ohr: if dr == 0 { 0.0 } else { dh as f64 / dr as f64 },
-                });
+                curve.push(CurvePoint::window(submitted, c.requests - prev.0, c.hoc_hits - prev.1));
                 prev = (c.requests, c.hoc_hits);
                 break;
             }
@@ -271,15 +248,13 @@ pub fn run_with(scale: &Scale, out: &Path, resize_to: usize) {
     // Per-resize rows: remap bound, dip, recovery.
     let mut seg_lo = 0usize;
     for &(cut_idx, from, to, at_seq) in &boundaries {
-        let steady = steady_ohr(&curve, seg_lo, cut_idx);
+        let steady = steady_ohr(&curve[seg_lo..cut_idx]);
         let budget = checkpoint_every * from.max(to) as u64;
         let in_budget: Vec<&CurvePoint> =
             curve[cut_idx..].iter().take_while(|p| p.seq - at_seq <= budget).collect();
         let dip = in_budget.iter().map(|p| p.ohr).fold(f64::INFINITY, f64::min);
-        let recovery = in_budget
-            .iter()
-            .find(|p| p.ohr >= RECOVERY_THRESHOLD * steady)
-            .map(|p| p.seq - at_seq)
+        let recovery = recovery_requests(&curve[cut_idx..], at_seq, steady)
+            .filter(|&r| r <= budget)
             .unwrap_or_else(|| {
                 panic!(
                     "{from}->{to}: hit ratio never regained {:.0}% of steady ({steady:.4}) \
@@ -336,7 +311,7 @@ pub fn run_with(scale: &Scale, out: &Path, resize_to: usize) {
             fleet_cfg(shards, checkpoint_every),
             cache.clone(),
             Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
-            GatewayConfig { checkpoint_dir: Some(gw_dir.clone()), ..GatewayConfig::default() },
+            GatewayConfig { boot: FleetBoot::warm_from(gw_dir.clone()), ..GatewayConfig::default() },
             move |_| StaticDriver::new(p),
         )
         .expect("bind loopback gateway");
@@ -430,14 +405,6 @@ pub fn run_with(scale: &Scale, out: &Path, resize_to: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn steady_ohr_uses_the_last_quarter() {
-        let curve: Vec<CurvePoint> =
-            (0..8).map(|i| CurvePoint { seq: i * 100, ohr: i as f64 / 10.0 }).collect();
-        // Last quarter of [0, 8) is indices 6..8 -> mean of 0.6 and 0.7.
-        assert!((steady_ohr(&curve, 0, 8) - 0.65).abs() < 1e-12);
-    }
 
     #[test]
     fn measured_remap_counts_distinct_objects() {

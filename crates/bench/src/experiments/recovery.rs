@@ -27,30 +27,17 @@
 //! Output: a console table, `<out>/recovery.csv`, and
 //! `<out>/BENCH_recovery.json`.
 
+use crate::curve::{recovery_requests, steady_ohr, CurvePoint, RECOVERY_THRESHOLD};
 use crate::report::{f4, Report};
 use crate::scale::Scale;
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_shard::{
-    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, ShardedFleet,
+    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter, ShardedFleet,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 use serde::Serialize;
 use std::path::Path;
-
-/// Fraction of steady-state hit ratio a post-crash window must reach to
-/// count as recovered.
-pub const RECOVERY_THRESHOLD: f64 = 0.95;
-
-/// One point of a recovery curve: windowed (not cumulative) hit ratio over
-/// the window ending at per-shard sequence `seq`.
-#[derive(Debug, Clone, Serialize)]
-pub struct RecoveryPoint {
-    /// Per-shard request sequence number at the window's end.
-    pub seq: u64,
-    /// HOC object hit ratio within the window.
-    pub ohr: f64,
-}
 
 /// One scenario's measurements.
 #[derive(Debug, Clone, Serialize)]
@@ -69,7 +56,7 @@ pub struct RecoveryScenario {
     pub final_ohr: f64,
     /// Windowed hit-ratio curve over the full run (the crash sits at
     /// `kill_at`; post-crash windows are the recovery curve).
-    pub curve: Vec<RecoveryPoint>,
+    pub curve: Vec<CurvePoint>,
 }
 
 /// The full `BENCH_recovery.json` document.
@@ -104,7 +91,7 @@ struct ScenarioReplay {
     /// Cumulative metrics over the whole run (all incarnations).
     total: CacheMetrics,
     /// Windowed hit-ratio curve.
-    curve: Vec<RecoveryPoint>,
+    curve: Vec<CurvePoint>,
 }
 
 fn bench_trace(scale: &Scale) -> Trace {
@@ -163,12 +150,11 @@ fn replay(
         }
         if processed.is_multiple_of(window) {
             let cum = folded.merge(&server.metrics());
-            let req_d = cum.requests - prev.requests;
-            let hit_d = cum.hoc_hits - prev.hoc_hits;
-            curve.push(RecoveryPoint {
-                seq: i as u64 + 1,
-                ohr: if req_d == 0 { 0.0 } else { hit_d as f64 / req_d as f64 },
-            });
+            curve.push(CurvePoint::window(
+                i as u64 + 1,
+                cum.requests - prev.requests,
+                cum.hoc_hits - prev.hoc_hits,
+            ));
             prev = cum;
         }
     }
@@ -184,7 +170,7 @@ fn fleet_run(
     ckpt_every: Option<u64>,
 ) -> (CacheMetrics, u32, u32, u64) {
     let p = policy();
-    let mut fleet = ShardedFleet::with_fault_plan(
+    let mut fleet = ShardedFleet::with_boot(
         FleetConfig {
             shards: 1,
             queue_capacity: 4096,
@@ -199,22 +185,19 @@ fn fleet_run(
         cache.clone(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(p),
-        FaultPlan::new(vec![FaultEvent { shard: 0, at: kill_at, kind: FaultKind::Panic }]),
+        FleetBoot {
+            fault_plan: FaultPlan::new(vec![FaultEvent {
+                shard: 0,
+                at: kill_at,
+                kind: FaultKind::Panic,
+            }]),
+            ..FleetBoot::default()
+        },
     );
     fleet.submit_trace(trace);
     let report = fleet.finish();
     let s0 = &report.shards[0];
     (s0.cache, s0.restarts, s0.warm_restarts, s0.dropped)
-}
-
-/// First post-crash window that reaches `threshold × steady`, as post-crash
-/// request count.
-fn recovery_requests(curve: &[RecoveryPoint], kill_at: u64, steady: f64, threshold: f64) -> Option<u64> {
-    curve
-        .iter()
-        .filter(|p| p.seq > kill_at)
-        .find(|p| p.ohr >= threshold * steady)
-        .map(|p| p.seq - kill_at)
 }
 
 /// Runs both scenarios and writes the table, CSV and `BENCH_recovery.json`.
@@ -230,12 +213,7 @@ pub fn run(scale: &Scale, out: &Path) {
 
     // Crash-free control: steady state = windowed hit ratio over the last
     // quarter of the clean run.
-    let clean = replay(&cache, &trace, None, None, window);
-    let q = clean.curve.len() * 3 / 4;
-    let steady_ohr = {
-        let tail = &clean.curve[q..];
-        tail.iter().map(|p| p.ohr).sum::<f64>() / tail.len() as f64
-    };
+    let steady_ohr = steady_ohr(&replay(&cache, &trace, None, None, window).curve);
 
     let mut rows = Vec::new();
     for (name, ckpt_every) in [("warm", Some(window)), ("cold", None)] {
@@ -249,7 +227,7 @@ pub fn run(scale: &Scale, out: &Path) {
         assert_eq!(dropped, 1, "{name}: only the fatal request is lost");
         assert_eq!(warm, u32::from(ckpt_every.is_some()), "{name}: restart temperature");
 
-        let recovery = recovery_requests(&rep.curve, kill_at, steady_ohr, RECOVERY_THRESHOLD);
+        let recovery = recovery_requests(&rep.curve, kill_at, steady_ohr);
         rows.push(RecoveryScenario {
             scenario: name.into(),
             restarts,
@@ -343,18 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_point_is_first_window_at_threshold() {
-        let curve = vec![
-            RecoveryPoint { seq: 500, ohr: 0.4 },
-            RecoveryPoint { seq: 1_000, ohr: 0.1 }, // post-crash dip
-            RecoveryPoint { seq: 1_500, ohr: 0.3 },
-            RecoveryPoint { seq: 2_000, ohr: 0.39 },
-        ];
-        assert_eq!(recovery_requests(&curve, 500, 0.4, 0.95), Some(1_500));
-        assert_eq!(recovery_requests(&curve, 500, 0.6, 0.95), None);
-    }
-
-    #[test]
     fn bench_json_has_expected_shape() {
         let doc = RecoveryBench {
             experiment: "recovery".into(),
@@ -372,7 +338,7 @@ mod tests {
                 warm_restarts: 1,
                 recovery_requests: Some(2_000),
                 final_ohr: 0.49,
-                curve: vec![RecoveryPoint { seq: 2_000, ohr: 0.1 }],
+                curve: vec![CurvePoint { seq: 2_000, ohr: 0.1 }],
             }],
         };
         let s = serde_json::to_string_pretty(&doc).unwrap();

@@ -10,6 +10,7 @@
 //! laptop core. Pass `--scale N` to the binary to move toward paper scale.
 
 pub mod corpus;
+pub mod curve;
 pub mod report;
 pub mod runs;
 pub mod scale;

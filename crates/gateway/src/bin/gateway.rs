@@ -1,5 +1,5 @@
-//! Standalone gateway server: a sharded fleet with static-expert admission
-//! behind the TCP wire protocol.
+//! Standalone gateway server: an elastic sharded fleet with static-expert
+//! admission behind the TCP wire protocol.
 //!
 //! ```text
 //! gateway [--addr HOST:PORT] [--shards N] [--queue N] [--batch N]
@@ -9,7 +9,7 @@
 //!         [--router ring|hash] [--vnodes N]
 //!         [--read-timeout-ms N] [--idle-timeout-ms N]
 //!         [--shed-watermark N] [--conn-rate N] [--write-stall-ms N]
-//!         [--replicas N] [--elastic]
+//!         [--replicas N]
 //! ```
 //!
 //! Serves until a client sends `SHUTDOWN` (e.g. `loadgen --shutdown`), then
@@ -41,10 +41,13 @@
 //! budget is exhausted then *promotes* its standby instead of being buried,
 //! so nothing is answered `Unavailable` past the budget.
 //!
-//! Elasticity: `--elastic` serves through an `ElasticFleet` on the
-//! consistent-hash ring (`--router` is implied `ring`), and clients may
-//! re-shard it live with `RESIZE` frames (`loadgen --resize M`); the
-//! `RESIZE_ACK` carries the per-generation ledger.
+//! Elasticity: every gateway serves through an `ElasticFleet`, so clients
+//! may re-shard it live with `RESIZE` frames (`loadgen --resize M`); the
+//! `RESIZE_ACK` carries the per-generation ledger. Each generation boots
+//! with the same flags — fault-free, with the same spill directory,
+//! replicas and shed watermark. `--router ring` keeps the keyspace a
+//! resize moves to `|M−N|/max(N,M)`; under `hash` nearly every object
+//! moves.
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_gateway::{Gateway, GatewayConfig};
@@ -69,7 +72,6 @@ fn main() {
     let mut vnodes = DEFAULT_VNODES;
     let mut shed_watermark: Option<usize> = None;
     let mut replicas = 0usize;
-    let mut elastic = false;
     let mut gw = GatewayConfig::default();
     let mut i = 0;
     while i < args.len() {
@@ -117,9 +119,9 @@ fn main() {
             }
             "--checkpoint-dir" => {
                 i += 1;
-                gw.checkpoint_dir = Some(std::path::PathBuf::from(&args[i]));
+                gw.boot.checkpoint_dir = Some(std::path::PathBuf::from(&args[i]));
             }
-            "--cold-boot" => gw.warm_boot = false,
+            "--cold-boot" => gw.boot.warm_boot = false,
             "--router" => {
                 i += 1;
                 router = args[i].clone();
@@ -148,7 +150,6 @@ fn main() {
                 i += 1;
                 replicas = args[i].parse().expect("replicas per shard");
             }
-            "--elastic" => elastic = true,
             "--conn-rate" => {
                 i += 1;
                 gw.conn_rate = Some(args[i].parse().expect("records per second"));
@@ -175,35 +176,6 @@ fn main() {
     };
     let cache = CacheConfig { hoc_bytes: hoc_mb * 1024 * 1024, ..CacheConfig::paper_default() };
     let policy = ThresholdPolicy::new(freq, size_kb * 1024);
-    if elastic {
-        let ring = RingRouter::new(DEFAULT_SEED, vnodes);
-        let gateway = Gateway::bind_elastic(addr.as_str(), cfg, cache, ring, gw, move |_| {
-            StaticDriver::new(policy)
-        })
-        .expect("bind gateway");
-        println!(
-            "gateway listening on {} ({} shards, ring(elastic), {:?})",
-            gateway.local_addr(),
-            shards,
-            backpressure
-        );
-        gateway.wait_shutdown();
-        let metrics = gateway.metrics();
-        let report = gateway.finish_elastic().expect("gateway finished cleanly");
-        println!("{}", metrics.to_json());
-        println!(
-            "served {} requests ({} dropped, {} unavailable, {} shed), fleet OHR {:.4}, {} generation(s), {} handoff transfer(s)",
-            report.metrics.total_processed(),
-            report.metrics.total_dropped(),
-            report.metrics.total_unavailable(),
-            report.metrics.total_shed(),
-            report.metrics.fleet_cache().hoc_ohr(),
-            report.metrics.generations.len(),
-            report.transfers.len(),
-        );
-        return;
-    }
-
     let routing: Box<dyn Router> = match router.as_str() {
         "ring" => Box::new(RingRouter::new(DEFAULT_SEED, vnodes)),
         _ => Box::new(HashRouter),
@@ -225,7 +197,7 @@ fn main() {
     let report = gateway.finish().expect("gateway finished cleanly");
     println!("{}", metrics.to_json());
     println!(
-        "served {} requests ({} dropped, {} unavailable, {} shed), fleet OHR {:.4}, {} restart(s) ({} warm), {} dead shard(s)",
+        "served {} requests ({} dropped, {} unavailable, {} shed), fleet OHR {:.4}, {} restart(s) ({} warm), {} dead shard(s), {} generation(s), {} handoff transfer(s)",
         report.total_processed(),
         report.total_dropped(),
         report.total_unavailable(),
@@ -234,5 +206,7 @@ fn main() {
         report.total_restarts(),
         report.total_warm_restarts(),
         report.dead_shards(),
+        report.metrics.generations.len(),
+        report.transfers.len(),
     );
 }

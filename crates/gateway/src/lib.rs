@@ -11,13 +11,13 @@
 //! with `std`-only networking:
 //!
 //! * [`wire`] — the length-prefixed frame protocol (`GET` / `STATS` /
-//!   `EVENTS` / `SHUTDOWN` and their replies), an incremental
+//!   `EVENTS` / `RESIZE` / `SHUTDOWN` and their replies), an incremental
 //!   [`wire::FrameReader`], and hostile-input-safe decoding.
 //! * [`server`] — [`server::Gateway`]: an acceptor plus thread-per-connection
-//!   workers that route decoded requests through the existing
-//!   [`ShardedFleet`](darwin_shard::ShardedFleet) shard queues and stream
-//!   verdicts back with batched writes; graceful shutdown drains connections
-//!   and joins the shard workers.
+//!   workers that route decoded requests through the shard queues of an
+//!   [`ElasticFleet`](darwin_rebalance::ElasticFleet) — which a `RESIZE`
+//!   frame re-shards live — and stream verdicts back with batched writes;
+//!   graceful shutdown drains connections and joins the shard workers.
 //! * [`loadgen`] — a pipelined client that replays a
 //!   [`Trace`](darwin_trace::Trace) over N concurrent connections and
 //!   reports throughput and latency percentiles (log-bucketed

@@ -1,40 +1,42 @@
 //! The TCP gateway: acceptor, connection workers, graceful shutdown.
 //!
 //! ```text
-//!            ┌──────────────────────────── Gateway ───────────────────────┐
-//!            │ acceptor thread (nonblocking accept + shutdown flag)       │
-//!            │   ├─ conn 0: reader ─▶ FleetProducer 0 ─▶ per-shard lanes  │
-//! clients ──▶│   │          writer ◀── ConnSink (seq-ordered replies) ◀───┼── verdicts
-//!            │   └─ conn k: reader ─▶ FleetProducer k ─▶ per-shard lanes  │
-//!            │ STATS / EVENTS / SHUTDOWN bypass the ingest path entirely  │
-//!            └────────────────────────────────────────────────────────────┘
+//!            ┌──────────────────────────── Gateway ────────────────────────┐
+//!            │ acceptor thread (nonblocking accept + shutdown flag)        │
+//!            │   ├─ conn 0: reader ─▶ ElasticProducer 0 ─▶ per-shard lanes │
+//! clients ──▶│   │          writer ◀── ConnSink (seq-ordered replies) ◀────┼── verdicts
+//!            │   └─ conn k: reader ─▶ ElasticProducer k ─▶ per-shard lanes │
+//!            │ STATS / EVENTS / RESIZE / SHUTDOWN bypass the ingest path   │
+//!            └─────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Each connection reader owns a private [`FleetProducer`]: it routes a
+//! The fleet behind every gateway is an [`ElasticFleet`]; a gateway that
+//! never receives `RESIZE` simply serves generation 0 for its whole life.
+//! Each connection reader owns a private [`ElasticProducer`](darwin_rebalance::ElasticProducer): it routes a
 //! whole decoded `GET` frame into per-shard runs and delivers each run with
 //! one batched queue operation, so N connections contend per *shard* (on
 //! that shard's lane) instead of serializing through one fleet-wide lock.
-//! Backpressure (a full shard queue under
-//! [`Backpressure::Block`](darwin_shard::Backpressure::Block)) therefore
-//! stalls only the submitting connections, never monitoring: `STATS` frames
-//! read the fleet through its non-blocking [`MetricsHandle`] and answer even
-//! while every submitter is blocked.
+//! The producer holds the generation lock's read side for one frame, so a
+//! `RESIZE` waits for in-flight frames and no frame splits across a
+//! cutover. Backpressure (a full shard queue under
+//! [`Backpressure::Block`](darwin_shard::Backpressure::Block)) stalls only
+//! the submitting connections: `STATS` frames read the shard cells through
+//! a [`MetricsHandle`](darwin_shard::MetricsHandle) and answer even while
+//! every submitter is blocked (a pending resize makes them wait for its
+//! cutover).
 
 use crate::conn::{writer_loop, ConnSink, GatewayEnvelope, PendingBatch, Reply, SinkGuard};
 use crate::netfault::{spin, NetFaultKind, NetFaultPlan};
 use crate::wire::{FrameReader, Message, RecvError, WireVerdict};
 use darwin_cache::CacheConfig;
-use darwin_obs::{EventKind, Journal, JournalSnapshot};
-use darwin_rebalance::{ElasticFleet, ElasticReport, RingRouter};
-use darwin_shard::{
-    FaultPlan, FleetBoot, FleetConfig, FleetIngest, FleetMetrics, FleetProducer, FleetReport,
-    GatewaySnapshot, GenerationSummary, MetricsHandle, Router, ShardedFleet,
-};
+use darwin_obs::{EventKind, Journal};
+use darwin_rebalance::{ElasticFleet, ElasticReport};
+use darwin_shard::{FleetBoot, FleetConfig, FleetMetrics, GatewaySnapshot, GenerationSummary, Router};
 use darwin_testbed::AdmissionDriver;
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -46,7 +48,7 @@ pub const GATEWAY_JOURNAL_SHARD: u32 = u32::MAX;
 ///
 /// A shard worker dying is *not* in this list: the fleet's supervisor
 /// restarts it (or buries the shard once its restart budget is spent), and
-/// the final [`FleetReport`] carries the restart and dead-shard counts —
+/// the final [`ElasticReport`] carries the restart and dead-shard counts —
 /// degraded service, not an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GatewayError {
@@ -87,22 +89,18 @@ pub struct GatewayConfig {
     /// never). Resolution is bounded below by `read_timeout`: the idle clock
     /// is only consulted when a read times out.
     pub idle_timeout: Option<Duration>,
-    /// Scripted faults threaded into the shard workers
-    /// ([`ShardedFleet::with_fault_plan`]). The empty plan is the identity;
-    /// production paths leave it empty.
-    pub fault_plan: FaultPlan,
-    /// Directory for on-disk warm-restart checkpoint spills
-    /// (`shard-{s}.ckpt`, written via atomic rename). `None` keeps
-    /// checkpoints in memory only. Only meaningful when the fleet's
-    /// `checkpoint_every` is set.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// With `checkpoint_dir` set, restore each shard from its spill file at
-    /// startup (the cross-process warm boot) instead of clearing the
-    /// directory. A spill that fails validation is detected cold per shard:
-    /// the shard journals `RestoreCold`, drops the bad file and starts
-    /// empty. `false` restores the historical cold-start semantics (the
-    /// `--cold-boot` flag).
-    pub warm_boot: bool,
+    /// How every fleet generation boots: its scripted [`FleetBoot::fault_plan`]
+    /// (empty in production), its spill directory for warm-restart
+    /// checkpoints (`shard-{s}.ckpt`, written via atomic rename; only
+    /// meaningful when the fleet's `checkpoint_every` is set), and whether
+    /// generation 0 restores each shard from its spill file at startup —
+    /// the cross-process warm boot. A spill that fails validation is
+    /// detected cold per shard: the shard journals `RestoreCold`, drops the
+    /// bad file and starts empty. The default warm-boots; `warm_boot:
+    /// false` restores the historical cold-start semantics (the
+    /// `--cold-boot` flag). With a spill directory set,
+    /// [`Gateway::finish`] cuts every shard's final checkpoint into it.
+    pub boot: FleetBoot,
     /// Per-connection fair-share rate limit, in records per second (`None` =
     /// unlimited). Enforced by a token bucket with a one-second burst
     /// allowance: a `GET` frame that would overdraw the bucket is answered
@@ -131,9 +129,7 @@ impl Default for GatewayConfig {
         Self {
             read_timeout: Duration::from_millis(50),
             idle_timeout: None,
-            fault_plan: FaultPlan::default(),
-            checkpoint_dir: None,
-            warm_boot: true,
+            boot: FleetBoot { warm_boot: true, ..FleetBoot::default() },
             conn_rate: None,
             write_stall: None,
             sink_backlog: 1024,
@@ -202,13 +198,12 @@ impl Drop for ActiveGuard {
 }
 
 /// The JSON body of a `RESIZE_ACK` frame: the performed resize's ledger,
-/// or an `error` explaining the refusal (non-elastic gateway, degenerate
-/// target, or a failed handoff).
+/// or an `error` explaining the refusal (a zero-shard target, or a failed
+/// handoff).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResizeAck {
     /// `Some` when the resize was refused or failed; the remaining fields
-    /// then describe the unchanged serving fleet (zeros on a non-elastic
-    /// gateway).
+    /// then describe the unchanged serving fleet.
     #[serde(default)]
     pub error: Option<String>,
     /// Serving router generation after the ack.
@@ -223,29 +218,8 @@ pub struct ResizeAck {
     pub ledger: Vec<GenerationSummary>,
 }
 
-/// The fleet behind the gateway: fixed-size (the historical shape, with a
-/// lock-free per-connection ingest path) or elastic (re-shardable live by
-/// `RESIZE` frames, every access through its generation lock).
-enum FleetCore<D: AdmissionDriver + Send + 'static> {
-    /// A fixed [`ShardedFleet`]: the ingest and metrics handles are minted
-    /// once at bind and stay valid for the gateway's life.
-    Static {
-        /// Held only for [`Gateway::finish`]; the serving path never locks
-        /// it.
-        fleet: Mutex<Option<ShardedFleet<D, GatewayEnvelope>>>,
-        /// Multi-producer ingest front: each connection mints its own
-        /// producer.
-        ingest: FleetIngest<D, GatewayEnvelope>,
-        metrics: MetricsHandle,
-    },
-    /// An [`ElasticFleet`]: a `RESIZE` frame drains the serving generation
-    /// and boots the next one, so ingest and metrics go through the fleet's
-    /// generation lock on every call instead of a cached handle.
-    Elastic(Box<ElasticFleet<D, GatewayEnvelope>>),
-}
-
 struct Shared<D: AdmissionDriver + Send + 'static> {
-    core: FleetCore<D>,
+    fleet: ElasticFleet<D, GatewayEnvelope>,
     counters: Arc<Counters>,
     /// The gateway's own event journal (shed episodes, net faults, evicted
     /// slow clients). Rides the `EVENTS` reply as pseudo-shard
@@ -261,80 +235,55 @@ struct Shared<D: AdmissionDriver + Send + 'static> {
 }
 
 impl<D: AdmissionDriver + Send + 'static> Shared<D> {
-    /// Fleet snapshot with the gateway counters folded in — non-blocking by
-    /// construction for a static fleet (shard cells + atomics, no fleet
-    /// mutex); an elastic fleet reads through its generation lock, so a
-    /// snapshot taken during a resize waits for the cutover.
+    /// Fleet snapshot (every generation merged, ledger rows attached) with
+    /// the gateway counters folded in.
     fn fleet_metrics(&self) -> FleetMetrics {
-        let snap = match &self.core {
-            FleetCore::Static { metrics, .. } => metrics.snapshot(),
-            FleetCore::Elastic(fleet) => fleet.metrics(),
-        };
-        snap.with_gateway(self.counters.snapshot())
+        self.fleet.metrics().with_gateway(self.counters.snapshot())
     }
 
-    /// The shard journals an `EVENTS` reply drains: the fixed fleet's, or
-    /// the elastic fleet's *serving* generation (retired generations' rings
-    /// retire with their cells).
-    fn journals(&self) -> Vec<(u32, JournalSnapshot)> {
-        match &self.core {
-            FleetCore::Static { metrics, .. } => metrics.journals(),
-            FleetCore::Elastic(fleet) => fleet.metrics_handle().journals(),
-        }
-    }
-
-    /// Answers one `RESIZE` frame. On an elastic gateway this *performs*
-    /// the resize inline on the connection's reader thread (concurrent
-    /// resizes serialize on the generation lock) and acks with the new
-    /// generation plus the retired-generation ledger; a static gateway — or
-    /// a degenerate target — refuses with an `{"error": …}` ack. The reply
-    /// is always a `RESIZE_ACK`: a refused resize is a protocol answer,
-    /// not a dropped connection.
+    /// Answers one `RESIZE` frame by *performing* the resize inline on the
+    /// connection's reader thread (concurrent resizes serialize on the
+    /// generation lock) and acking with the new generation plus the
+    /// retired-generation ledger; a zero-shard target is refused with an
+    /// `{"error": …}` ack. The reply is always a `RESIZE_ACK`: a refused
+    /// resize is a protocol answer, not a dropped connection.
     fn handle_resize(&self, target: u32) -> String {
-        let ack = match &self.core {
-            FleetCore::Static { .. } => ResizeAck {
-                error: Some("gateway is not elastic (start it with --elastic)".into()),
-                generation: 0,
-                shards: 0,
-                transferred_shards: 0,
-                ledger: Vec::new(),
-            },
-            FleetCore::Elastic(fleet) => {
-                let outcome = if target == 0 {
-                    Err("resize target must be at least one shard".to_string())
-                } else {
-                    fleet.resize(target as usize).map_err(|e| format!("resize failed: {e}"))
-                };
-                ResizeAck {
-                    transferred_shards: outcome.as_ref().map_or(0, |t| t.len() as u32),
-                    error: outcome.err(),
-                    generation: fleet.generation(),
-                    shards: fleet.shards() as u32,
-                    ledger: fleet.metrics().generations,
-                }
-            }
+        let outcome = if target == 0 {
+            Err("resize target must be at least one shard".to_string())
+        } else {
+            self.fleet.resize(target as usize).map_err(|e| format!("resize failed: {e}"))
+        };
+        let ack = ResizeAck {
+            transferred_shards: outcome.as_ref().map_or(0, |t| t.len() as u32),
+            error: outcome.err(),
+            generation: self.fleet.generation(),
+            shards: self.fleet.shards() as u32,
+            ledger: self.fleet.metrics().generations,
         };
         serde_json::to_string(&ack).expect("resize ack serialization cannot fail")
     }
 }
 
-/// A running TCP gateway over a [`ShardedFleet`].
+/// A running TCP gateway over an [`ElasticFleet`].
 ///
 /// Bind with [`Gateway::bind`], point clients (e.g. the `loadgen` binary or
 /// [`crate::loadgen`]) at [`local_addr`](Self::local_addr), then
 /// [`finish`](Self::finish) to drain connections, join the shard workers and
-/// collect the final [`FleetReport`].
+/// collect the final [`ElasticReport`].
 pub struct Gateway<D: AdmissionDriver + Send + 'static> {
     shared: Arc<Shared<D>>,
     acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     addr: SocketAddr,
+    /// Cut final checkpoints at finish: set when a spill directory is
+    /// configured, so a successor process warm-boots from the drain point.
+    final_cut: bool,
 }
 
 impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
     /// Binds `addr` (use port 0 for an ephemeral port) and spawns the fleet
     /// plus the acceptor thread with default [`GatewayConfig`] knobs.
     /// `factory(s)` builds shard `s`'s admission driver, exactly as in
-    /// [`ShardedFleet::new`].
+    /// [`ShardedFleet::new`](darwin_shard::ShardedFleet::new).
     pub fn bind(
         addr: impl ToSocketAddrs,
         cfg: FleetConfig,
@@ -346,7 +295,8 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
     }
 
     /// [`bind`](Self::bind) with explicit gateway knobs: connection
-    /// deadlines and (for chaos tests) a scripted fault plan.
+    /// deadlines, overload valves and how the fleet boots (spill directory,
+    /// warm boot, and for chaos tests a scripted fault plan).
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         cfg: FleetConfig,
@@ -358,68 +308,9 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let fleet: ShardedFleet<D, GatewayEnvelope> = ShardedFleet::with_boot(
-            cfg,
-            cache,
-            router,
-            factory,
-            gateway.fault_plan.clone(),
-            FleetBoot {
-                checkpoint_dir: gateway.checkpoint_dir.clone(),
-                warm_boot: gateway.warm_boot,
-                ..FleetBoot::default()
-            },
-        );
-        let core = FleetCore::Static {
-            metrics: fleet.metrics_handle(),
-            ingest: fleet.ingest(),
-            fleet: Mutex::new(Some(fleet)),
-        };
-        Self::launch(listener, addr, core, gateway)
-    }
-
-    /// Binds an *elastic* gateway: the fleet behind it is an
-    /// [`ElasticFleet`] routed by the consistent-hash `ring`, and a client
-    /// `RESIZE` frame re-shards it live (drain, final cuts, delta-shipped
-    /// handoff, warm boot — answered with a `RESIZE_ACK` carrying the
-    /// generation ledger). Collect the final report with
-    /// [`finish_elastic`](Self::finish_elastic), not
-    /// [`finish`](Self::finish).
-    ///
-    /// The scripted shard fault plan in `gateway` is ignored on this path:
-    /// [`ElasticFleet`] boots every generation fault-free.
-    pub fn bind_elastic(
-        addr: impl ToSocketAddrs,
-        cfg: FleetConfig,
-        cache: CacheConfig,
-        ring: RingRouter,
-        gateway: GatewayConfig,
-        factory: impl FnMut(usize) -> D + Send + 'static,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let fleet: ElasticFleet<D, GatewayEnvelope> = ElasticFleet::new(
-            cfg,
-            cache,
-            ring,
-            factory,
-            gateway.checkpoint_dir.clone(),
-            gateway.warm_boot,
-        );
-        Self::launch(listener, addr, FleetCore::Elastic(Box::new(fleet)), gateway)
-    }
-
-    /// Shared tail of the bind paths: wraps `core` in the connection-shared
-    /// state and spawns the acceptor.
-    fn launch(
-        listener: TcpListener,
-        addr: SocketAddr,
-        core: FleetCore<D>,
-        gateway: GatewayConfig,
-    ) -> std::io::Result<Self> {
+        let final_cut = gateway.boot.checkpoint_dir.is_some();
         let shared = Arc::new(Shared {
-            core,
+            fleet: ElasticFleet::new(cfg, cache, router, factory, gateway.boot),
             counters: Arc::new(Counters::default()),
             journal: Journal::default(),
             shutdown: AtomicBool::new(false),
@@ -434,7 +325,7 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
         let acceptor = std::thread::Builder::new()
             .name("gw-accept".into())
             .spawn(move || acceptor_loop(listener, acceptor_shared))?;
-        Ok(Self { shared, acceptor: Some(acceptor), addr })
+        Ok(Self { shared, acceptor: Some(acceptor), addr, final_cut })
     }
 
     /// The address the gateway is listening on.
@@ -442,8 +333,8 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
         self.addr
     }
 
-    /// Non-blocking fleet + gateway metrics snapshot (the same document a
-    /// `STATS` frame returns).
+    /// Fleet + gateway metrics snapshot (the same document a `STATS` frame
+    /// returns).
     pub fn metrics(&self) -> FleetMetrics {
         self.shared.fleet_metrics()
     }
@@ -467,43 +358,17 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
     }
 
     /// Graceful shutdown: stops accepting, drains and joins every
-    /// connection, joins the shard workers, and returns the final report.
-    /// Gateway-thread panics surface as `Err`; shard-worker deaths do not —
-    /// the supervisor has already absorbed them, and the report's
-    /// `total_restarts()` / `dead_shards()` say how bumpy the ride was.
-    /// Panics on an elastic gateway — use
-    /// [`finish_elastic`](Self::finish_elastic) there.
-    pub fn finish(mut self) -> Result<FleetReport<D>, GatewayError> {
+    /// connection, joins the shard workers, and returns the final report —
+    /// the serving generation's per-shard outcomes plus the lifetime ledger
+    /// over every generation. With a spill directory configured, every
+    /// shard first cuts a final checkpoint into it (the artifact a
+    /// successor process warm-boots from). Gateway-thread panics surface as
+    /// `Err`; shard-worker deaths do not — the supervisor has already
+    /// absorbed them, and the report's `total_restarts()` /
+    /// `dead_shards()` say how bumpy the ride was.
+    pub fn finish(mut self) -> Result<ElasticReport<D>, GatewayError> {
         let panicked = self.join_workers()?;
-        let FleetCore::Static { fleet, .. } = &self.shared.core else {
-            panic!("elastic gateway: collect the report with finish_elastic()");
-        };
-        let fleet = match fleet.lock() {
-            Ok(mut guard) => guard.take(),
-            // A reader that panicked mid-submit poisons the mutex; the fleet
-            // itself is still recoverable.
-            Err(poisoned) => poisoned.into_inner().take(),
-        }
-        .expect("fleet taken exactly once");
-        let report = fleet.finish();
-        if panicked > 0 {
-            return Err(GatewayError::ConnectionPanicked(panicked));
-        }
-        Ok(report)
-    }
-
-    /// [`finish`](Self::finish) for a gateway bound with
-    /// [`bind_elastic`](Self::bind_elastic): drains and joins every
-    /// connection, then drains the serving generation (cutting final
-    /// checkpoints into the spill directory when one is configured) and
-    /// returns the [`ElasticReport`] merged across every generation.
-    /// Panics on a static gateway.
-    pub fn finish_elastic(mut self) -> Result<ElasticReport, GatewayError> {
-        let panicked = self.join_workers()?;
-        let FleetCore::Elastic(fleet) = &self.shared.core else {
-            panic!("static gateway: collect the report with finish()");
-        };
-        let report = fleet.finish_live(true);
+        let report = self.shared.fleet.finish_live(self.final_cut);
         if panicked > 0 {
             return Err(GatewayError::ConnectionPanicked(panicked));
         }
@@ -634,17 +499,11 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
     };
 
     let mut reader = FrameReader::new(stream);
-    // Static fleet: this connection's private ingest front. Routing and
-    // staging are lock-free; delivery serializes per shard on the shard's
-    // lane. Dropped (and thereby flushed) when the reader exits, before
-    // `finish` can join this thread — no envelope outlives its connection
-    // unanswered. An elastic fleet has no durable producer (a resize
-    // retires the generation a producer points into), so its frames go
-    // through the fleet's generation lock instead.
-    let mut producer: Option<FleetProducer<D, GatewayEnvelope>> = match &shared.core {
-        FleetCore::Static { ingest, .. } => Some(ingest.producer()),
-        FleetCore::Elastic(_) => None,
-    };
+    // This connection's private ingest front, kept across generations.
+    // Routing and staging are lock-free; delivery serializes per shard on
+    // the shard's lane. Dropped when the reader exits, before `finish` can
+    // join this thread — no envelope outlives its connection unanswered.
+    let mut producer = shared.fleet.producer();
     let mut seq = 0u64;
     let mut bytes_seen = 0u64;
     let mut last_frame = Instant::now();
@@ -728,13 +587,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                     .into_iter()
                     .enumerate()
                     .map(|(index, req)| GatewayEnvelope::new(req, Arc::clone(&batch), index));
-                match (&shared.core, producer.as_mut()) {
-                    (_, Some(p)) => p.submit_frame(envelopes),
-                    (FleetCore::Elastic(fleet), None) => fleet.submit_frame(envelopes),
-                    (FleetCore::Static { .. }, None) => {
-                        unreachable!("static gateway mints a producer at connection start")
-                    }
-                }
+                producer.submit_frame(envelopes);
             }
             Ok(Some(Message::Stats)) => {
                 Counters::add(&counters.frames_in, 1);
@@ -749,7 +602,7 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                 // fleet mutex — like STATS, this answers even under full
                 // backpressure. The gateway's own journal rides along as the
                 // final pseudo-shard entry.
-                let mut journals = shared.journals();
+                let mut journals = shared.fleet.metrics_handle().journals();
                 journals.push((GATEWAY_JOURNAL_SHARD, shared.journal.snapshot()));
                 let frame = darwin_obs::encode_fleet_events(&journals);
                 sink.push(seq, Reply::Events(frame));
@@ -760,9 +613,9 @@ fn connection<D: AdmissionDriver + Send + 'static>(id: u64, stream: TcpStream, s
                 Counters::add(&counters.resizes_served, 1);
                 // Performed inline on this reader: the connection's later
                 // frames observe the post-resize fleet, and concurrent
-                // resizes serialize on the elastic generation lock. Other
-                // connections' in-flight `GET` frames block on that lock's
-                // read side, so no frame splits across the cutover.
+                // resizes serialize on the generation lock. Other
+                // connections' in-flight `GET` frames hold that lock's read
+                // side, so no frame splits across the cutover.
                 sink.push(seq, Reply::ResizeAck(shared.handle_resize(target)));
                 seq += 1;
             }

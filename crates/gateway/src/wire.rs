@@ -39,7 +39,7 @@
 //! | `0x82` | `STATS_REPLY`  | UTF-8 JSON of a `FleetMetrics` snapshot |
 //! | `0x83` | `SHUTDOWN_ACK` | empty |
 //! | `0x84` | `EVENTS_REPLY` | a sealed `darwin_obs` fleet-events frame (CRC-guarded, decodable with [`darwin_obs::decode_fleet_events`]) |
-//! | `0x85` | `RESIZE_ACK`   | UTF-8 JSON: the resize's `GenerationSummary` ledger on success, or `{"error": …}` when the gateway refused (not elastic, resize in flight, or a no-op target) |
+//! | `0x85` | `RESIZE_ACK`   | UTF-8 JSON: the resize's `GenerationSummary` ledger on success, or `{"error": …}` when the gateway refused (a zero-shard target) or the handoff failed |
 //!
 //! Each `GET` frame is answered by exactly one `VERDICTS` frame carrying one
 //! verdict per record, in record order; replies on a connection are emitted

@@ -306,7 +306,7 @@ fn stats_frame_returns_parseable_snapshot() {
 fn events_frame_returns_fleet_journals() {
     use darwin_gateway::GatewayConfig;
     use darwin_obs::EventKind;
-    use darwin_shard::{FaultEvent, FaultKind, FaultPlan};
+    use darwin_shard::{FaultEvent, FaultKind, FaultPlan, FleetBoot};
 
     let trace = test_trace(4_000);
     let policy = ThresholdPolicy::new(2, 100 * 1024);
@@ -316,7 +316,14 @@ fn events_frame_returns_fleet_journals() {
         cache_cfg(),
         Box::new(HashRouter),
         GatewayConfig {
-            fault_plan: FaultPlan::new(vec![FaultEvent { shard: 0, at: 500, kind: FaultKind::Panic }]),
+            boot: FleetBoot {
+                fault_plan: FaultPlan::new(vec![FaultEvent {
+                    shard: 0,
+                    at: 500,
+                    kind: FaultKind::Panic,
+                }]),
+                ..FleetBoot::default()
+            },
             ..GatewayConfig::default()
         },
         move |_| StaticDriver::new(policy),
@@ -543,28 +550,27 @@ fn pipelined_mixed_frames_reply_in_order() {
     gateway.finish().expect("clean gateway shutdown");
 }
 
-/// A `RESIZE` frame over a real socket re-shards a live elastic gateway:
-/// the ack carries the new generation plus the retired-generation ledger,
-/// later frames are served by the successor generation, and the fleet's
-/// exactly-once conservation ledger holds across the cutover.
+/// A `RESIZE` frame over a real socket re-shards a live gateway — one bound
+/// with plain [`Gateway::bind`]: the ack carries the new generation plus the
+/// retired-generation ledger, later frames are served by the successor
+/// generation, and the fleet's exactly-once conservation ledger holds across
+/// the cutover.
 #[test]
-fn resize_frame_reshards_elastic_gateway() {
-    use darwin_gateway::GatewayConfig;
+fn resize_frame_reshards_gateway() {
     use darwin_rebalance::{RingRouter, DEFAULT_SEED, DEFAULT_VNODES};
 
     let policy = ThresholdPolicy::new(2, 100 * 1024);
     let mut cfg = fleet_cfg(2);
     // Periodic cuts give the handoff a pre-copied base to delta against.
     cfg.checkpoint_every = Some(512);
-    let gateway = Gateway::bind_elastic(
+    let gateway = Gateway::bind(
         "127.0.0.1:0",
         cfg,
         cache_cfg(),
-        RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES),
-        GatewayConfig::default(),
+        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
         move |_| StaticDriver::new(policy),
     )
-    .expect("bind elastic gateway");
+    .expect("bind loopback gateway");
     let addr = gateway.local_addr();
 
     let before = test_trace(6_000);
@@ -573,7 +579,7 @@ fn resize_frame_reshards_elastic_gateway() {
     assert_eq!(first.tally.unavailable, 0);
 
     let ack = loadgen::send_resize(addr, 4).expect("resize acked");
-    assert_eq!(ack.error, None, "elastic gateway performs the resize");
+    assert_eq!(ack.error, None, "the gateway performs the resize");
     assert_eq!((ack.generation, ack.shards), (1, 4));
     assert_eq!(ack.transferred_shards, 2, "both source shards survive a grow");
     assert_eq!(ack.ledger.len(), 1, "generation 0 retired into the ledger");
@@ -597,17 +603,23 @@ fn resize_frame_reshards_elastic_gateway() {
     assert_eq!(snapshot.generations.len(), 1, "ledger rides the snapshot");
     assert_eq!(snapshot.gateway.as_ref().expect("gateway counters").resizes_served, 1);
 
-    let report = gateway.finish_elastic().expect("clean elastic shutdown");
-    assert!(report.conserved(), "processed + dropped + unavailable == submitted across the resize");
+    gateway.shutdown();
+    let report = gateway.finish().expect("clean gateway shutdown");
+    assert!(
+        report.conserved(),
+        "processed + dropped + unavailable + shed == submitted across the resize"
+    );
     assert_eq!(report.submitted, (before.len() + after.len()) as u64);
-    assert_eq!(report.metrics.total_unavailable(), 0);
+    assert_eq!(report.total_unavailable(), 0);
     assert_eq!(report.transfers.len(), 2);
+    assert_eq!(report.shards.len(), 4, "the report's outcomes are the serving generation's");
 }
 
-/// A static gateway answers `RESIZE` with an error ack — a protocol-level
-/// refusal, not a dropped connection — and keeps serving afterwards.
+/// A zero-shard `RESIZE` is refused with an error ack — a protocol-level
+/// refusal, not a dropped connection — that leaves the serving fleet
+/// untouched, and the gateway keeps serving afterwards.
 #[test]
-fn static_gateway_refuses_resize_with_error_ack() {
+fn zero_shard_resize_is_refused_and_gateway_keeps_serving() {
     let policy = ThresholdPolicy::new(2, 100 * 1024);
     let gateway =
         Gateway::bind("127.0.0.1:0", fleet_cfg(1), cache_cfg(), Box::new(HashRouter), move |_| {
@@ -616,13 +628,93 @@ fn static_gateway_refuses_resize_with_error_ack() {
         .expect("bind loopback gateway");
     let addr = gateway.local_addr();
 
-    let ack = loadgen::send_resize(addr, 4).expect("refusal still acks");
-    assert!(ack.error.as_deref().is_some_and(|e| e.contains("not elastic")), "ack: {ack:?}");
+    let ack = loadgen::send_resize(addr, 0).expect("refusal still acks");
+    assert!(ack.error.as_deref().is_some_and(|e| e.contains("at least one shard")), "ack: {ack:?}");
+    assert_eq!((ack.generation, ack.shards, ack.transferred_shards), (0, 1, 0), "fleet unchanged");
+    assert!(ack.ledger.is_empty(), "nothing retired");
 
     // The refusal did not wedge the gateway: a replay still completes.
     let trace = test_trace(1_000);
     let report = loadgen::run(addr, &trace, LoadgenConfig::default()).expect("replay after refusal");
     assert_eq!(report.tally.total(), trace.len() as u64);
     gateway.shutdown();
-    gateway.finish().expect("clean gateway shutdown");
+    let fleet = gateway.finish().expect("clean gateway shutdown");
+    assert_eq!(fleet.total_processed(), trace.len() as u64);
+    assert!(fleet.metrics.generations.iter().all(|g| g.generation == 0));
+}
+
+/// Features together, not one at a time: a scripted shard panic, periodic
+/// checkpoints, a hot standby and a mid-stream `RESIZE` on one gateway. The
+/// fault plan runs afresh in each generation, so shard 0 dies once before
+/// the resize and once after. Every record is answered exactly once, the
+/// lifetime ledger conserves, the supervisor's warm restarts keep every
+/// answer off `Unavailable`, and a rerun reproduces the transfers and the
+/// per-generation ledger exactly.
+#[test]
+fn resize_with_shard_panic_checkpoints_and_standby_conserves_and_reproduces() {
+    use darwin_gateway::GatewayConfig;
+    use darwin_rebalance::{RingRouter, DEFAULT_SEED, DEFAULT_VNODES};
+    use darwin_shard::{FaultEvent, FaultKind, FaultPlan, FleetBoot};
+
+    let run = || {
+        let policy = ThresholdPolicy::new(2, 100 * 1024);
+        let cfg = FleetConfig { checkpoint_every: Some(256), replicas: 1, ..fleet_cfg(2) };
+        let gateway = Gateway::bind_with(
+            "127.0.0.1:0",
+            cfg,
+            cache_cfg(),
+            Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
+            GatewayConfig {
+                boot: FleetBoot {
+                    fault_plan: FaultPlan::new(vec![FaultEvent {
+                        shard: 0,
+                        at: 700,
+                        kind: FaultKind::Panic,
+                    }]),
+                    ..FleetBoot::default()
+                },
+                ..GatewayConfig::default()
+            },
+            move |_| StaticDriver::new(policy),
+        )
+        .expect("bind loopback gateway");
+        let addr = gateway.local_addr();
+        // One frame in flight: each frame's verdicts arrive before the next
+        // frame is routed, so where a death is detected is a property of
+        // the trace.
+        let lg = LoadgenConfig { connections: 1, batch: 64, window: 1, ..Default::default() };
+
+        let before = test_trace(6_000);
+        let first = loadgen::run(addr, &before, lg).expect("replay before resize");
+        let ack = loadgen::send_resize(addr, 4).expect("resize acked");
+        assert_eq!(ack.error, None, "a faulted, replicated gateway still resizes");
+        let after = TraceGenerator::new(
+            MixSpec::two_class(TrafficClass::image(), TrafficClass::download(), 0.5),
+            777,
+        )
+        .generate(6_000);
+        let second = loadgen::run(addr, &after, lg).expect("replay after resize");
+        gateway.shutdown();
+        let report = gateway.finish().expect("clean gateway shutdown");
+
+        for (replay, trace) in [(&first, &before), (&second, &after)] {
+            assert_eq!(replay.tally.total(), trace.len() as u64, "every record answered exactly once");
+            assert_eq!(replay.tally.unavailable, 0, "warm restarts answer nothing Unavailable");
+        }
+        assert_eq!(report.submitted, (before.len() + after.len()) as u64);
+        assert!(report.conserved(), "processed + dropped + unavailable + shed == submitted");
+        assert_eq!(report.total_unavailable(), 0);
+        assert_eq!(first.tally.dropped + second.tally.dropped, report.total_dropped());
+        let gens = &report.metrics.generations;
+        assert_eq!(
+            gens.iter().map(|g| (g.generation, g.shards)).collect::<Vec<_>>(),
+            vec![(0, 2), (1, 4)]
+        );
+        assert!(gens.iter().all(|g| g.restarts == 1), "the plan fires once per generation: {gens:?}");
+        (report.transfers, report.metrics.generations)
+    };
+    let (transfers_a, ledger_a) = run();
+    let (transfers_b, ledger_b) = run();
+    assert_eq!(transfers_a, transfers_b, "transfer envelopes are bit-reproducible");
+    assert_eq!(ledger_a, ledger_b, "the generation ledger is bit-reproducible");
 }

@@ -6,8 +6,16 @@
 //! Because submission uses [`Backpressure::Block`](darwin_shard::Backpressure) semantics and the lock
 //! hands over atomically, a resize never answers `Unavailable` and never
 //! drops a request — the exactly-once conservation ledger
-//! (`processed + dropped + unavailable == submitted`) holds across any
-//! resize sequence, which `experiments rebalance` certifies.
+//! (`processed + dropped + unavailable + shed == submitted`) holds across
+//! any resize sequence, which `experiments rebalance` certifies. A fleet
+//! that never resizes is simply generation 0.
+//!
+//! Every generation boots from the one [`FleetBoot`] the fleet was built
+//! with, so its fault plan and spill directory reach each of them (and the
+//! [`FleetConfig`]'s replicas and shed watermark ride along the same way).
+//! A fault plan applies to each generation afresh, keyed by per-shard
+//! submission index *within* that generation — exactly as it would to a
+//! freshly booted [`ShardedFleet`].
 //!
 //! A resize `N → M` drains the serving generation through the handoff state
 //! machine, cuts every shard's final [`ShardCheckpoint`] at its
@@ -20,17 +28,15 @@
 //! post-resize hit-ratio dip the benchmark measures.
 
 use crate::handoff::{HandoffError, HandoffTracker, TransferFrame, TransferPayload};
-use crate::ring::RingRouter;
 use crate::DeltaFrame;
-use darwin_cache::CacheConfig;
+use darwin_cache::{CacheConfig, CacheMetrics};
 use darwin_shard::{
-    Envelope, EventKind, FaultPlan, FleetBoot, FleetConfig, FleetMetrics, GenerationSummary,
-    MetricsHandle, ShardCheckpoint, ShardPhase, ShardedFleet,
+    CheckpointSlot, Envelope, EventKind, FleetBoot, FleetConfig, FleetMetrics, FleetProducer,
+    GenerationSummary, MetricsHandle, Router, ShardCheckpoint, ShardOutcome, ShardPhase, ShardedFleet,
 };
 use darwin_testbed::AdmissionDriver;
 use darwin_trace::Request;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -65,9 +71,12 @@ pub struct TransferStat {
     pub delta: bool,
 }
 
-/// Final accounting for an elastic run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ElasticReport {
+/// Final accounting for a fleet's whole life.
+#[derive(Debug)]
+pub struct ElasticReport<D> {
+    /// The serving generation's per-shard outcomes at finish, drivers
+    /// included — for a fleet that never resized, the whole run's.
+    pub shards: Vec<ShardOutcome<D>>,
     /// Per-shard-id metrics merged across every generation, with the
     /// per-generation ledger attached.
     pub metrics: FleetMetrics,
@@ -77,11 +86,51 @@ pub struct ElasticReport {
     pub submitted: u64,
 }
 
-impl ElasticReport {
+impl<D> ElasticReport<D> {
     /// The exactly-once conservation ledger.
     pub fn conserved(&self) -> bool {
-        self.metrics.total_processed() + self.metrics.total_dropped() + self.metrics.total_unavailable()
+        self.total_processed() + self.total_dropped() + self.total_unavailable() + self.total_shed()
             == self.submitted
+    }
+
+    /// Fleet-wide cache metrics over every generation.
+    pub fn fleet_cache(&self) -> CacheMetrics {
+        self.metrics.fleet_cache()
+    }
+
+    /// Requests processed over every generation.
+    pub fn total_processed(&self) -> u64 {
+        self.metrics.total_processed()
+    }
+
+    /// Requests dropped over every generation.
+    pub fn total_dropped(&self) -> u64 {
+        self.metrics.total_dropped()
+    }
+
+    /// Requests answered `Unavailable` over every generation.
+    pub fn total_unavailable(&self) -> u64 {
+        self.metrics.total_unavailable()
+    }
+
+    /// Requests shed `Busy` at shard watermarks over every generation.
+    pub fn total_shed(&self) -> u64 {
+        self.metrics.total_shed()
+    }
+
+    /// Restarts granted over every generation (warm and cold together).
+    pub fn total_restarts(&self) -> u32 {
+        self.metrics.total_restarts()
+    }
+
+    /// Restarts that resumed warm from a checkpoint, over every generation.
+    pub fn total_warm_restarts(&self) -> u32 {
+        self.metrics.total_warm_restarts()
+    }
+
+    /// Shards of the serving generation that were dead at finish.
+    pub fn dead_shards(&self) -> usize {
+        self.shards.iter().filter(|s| s.dead).count()
     }
 }
 
@@ -95,8 +144,10 @@ pub struct ElasticFleet<D: AdmissionDriver + Send + 'static, E: Envelope = Reque
     factory: DriverFactory<D>,
     cfg: FleetConfig,
     cache: CacheConfig,
-    ring: RingRouter,
-    checkpoint_dir: Option<PathBuf>,
+    router: Arc<dyn Router>,
+    /// How generation 0 booted; every successor boots from it too, with
+    /// its handoff seeds in place of the start mode.
+    boot: FleetBoot,
     submitted: AtomicU64,
     /// Retired generations: exact post-drain snapshots, their ledger rows,
     /// and every transfer shipped.
@@ -111,53 +162,49 @@ struct Archive {
 }
 
 impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
-    /// Boots generation 0 with `cfg.shards` shards routed by `ring`. With
-    /// `warm` set (and a checkpoint directory in place), each shard
-    /// restores from its spill file — the cross-process warm-boot path.
+    /// Boots generation 0 with `cfg.shards` shards routed by `router`, as
+    /// `boot` describes: cold, or (with `warm_boot` and a checkpoint
+    /// directory) warm from each shard's spill file — the cross-process
+    /// warm-boot path.
     pub fn new(
         cfg: FleetConfig,
         cache: CacheConfig,
-        ring: RingRouter,
+        router: Box<dyn Router>,
         factory: impl FnMut(usize) -> D + Send + 'static,
-        checkpoint_dir: Option<PathBuf>,
-        warm: bool,
+        boot: FleetBoot,
     ) -> Self {
+        let router: Arc<dyn Router> = Arc::from(router);
         let factory: DriverFactory<D> = Arc::new(Mutex::new(Box::new(factory)));
-        let fleet: ShardedFleet<D, E> = ShardedFleet::with_boot(
-            cfg,
-            cache.clone(),
-            Box::new(ring.clone()),
-            mint(&factory),
-            FaultPlan::default(),
-            FleetBoot {
-                checkpoint_dir: checkpoint_dir.clone(),
-                warm_boot: warm,
-                seeds: Vec::new(),
-                generation: 0,
-                handoff: false,
-            },
-        );
-        let handle = fleet.metrics_handle();
+        let gen0 = Self::launch(cfg, &cache, &router, &factory, boot.clone());
         Self {
-            state: RwLock::new(GenLive {
-                fleet: Some(fleet),
-                handle,
-                generation: 0,
-                shards: cfg.shards,
-            }),
+            state: RwLock::new(gen0),
             factory,
             cfg,
             cache,
-            ring,
-            checkpoint_dir,
+            router,
+            boot,
             submitted: AtomicU64::new(0),
             archive: Mutex::new(Archive::default()),
         }
     }
 
-    /// The ring router every generation routes with.
-    pub fn ring(&self) -> &RingRouter {
-        &self.ring
+    /// Boots one generation: `cfg.shards` shards, booted as `boot` says.
+    fn launch(
+        cfg: FleetConfig,
+        cache: &CacheConfig,
+        router: &Arc<dyn Router>,
+        factory: &DriverFactory<D>,
+        boot: FleetBoot,
+    ) -> GenLive<D, E> {
+        let generation = boot.generation;
+        let fleet = ShardedFleet::with_boot(
+            cfg,
+            cache.clone(),
+            Box::new(Arc::clone(router)),
+            mint(factory),
+            boot,
+        );
+        GenLive { handle: fleet.metrics_handle(), fleet: Some(fleet), generation, shards: cfg.shards }
     }
 
     /// Current router generation.
@@ -183,17 +230,16 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         self.state.read().expect("elastic state poisoned").handle.clone()
     }
 
-    /// Routes one frame of requests into the serving generation. The whole
-    /// frame lands in exactly one generation: the generation lock is held
-    /// (shared) for the duration, so a concurrent resize waits for the
-    /// frame and the frame never splits across a cutover.
+    /// An ingest front that lives across generations — one per submitting
+    /// thread or connection. See [`ElasticProducer`].
+    pub fn producer(&self) -> ElasticProducer<'_, D, E> {
+        ElasticProducer { fleet: self, serving: None }
+    }
+
+    /// Routes one frame of requests into the serving generation through a
+    /// one-off [`producer`](Self::producer).
     pub fn submit_frame(&self, reqs: impl IntoIterator<Item = E>) {
-        let st = self.state.read().expect("elastic state poisoned");
-        let fleet = st.fleet.as_ref().expect("fleet serving");
-        let reqs: Vec<E> = reqs.into_iter().collect();
-        self.submitted.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        let mut producer = fleet.ingest().producer();
-        producer.submit_frame(reqs);
+        self.producer().submit_frame(reqs);
     }
 
     /// Live metrics: the serving generation merged with every retired one,
@@ -203,11 +249,6 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         let live = st.handle.snapshot();
         drop(st);
         self.merged(live)
-    }
-
-    /// Metrics for the serving generation only (no archive folded in).
-    pub fn live_metrics(&self) -> FleetMetrics {
-        self.state.read().expect("elastic state poisoned").handle.snapshot()
     }
 
     fn merged(&self, live: FleetMetrics) -> FleetMetrics {
@@ -228,6 +269,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
             processed: snap.total_processed(),
             dropped: snap.total_dropped(),
             unavailable: snap.total_unavailable(),
+            shed: snap.total_shed(),
             restarts: snap.total_restarts(),
             warm_restarts: snap.total_warm_restarts(),
             warm_boots: snap.total_warm_boots(),
@@ -251,12 +293,6 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         let slots = fleet.checkpoint_slots();
         let old_handle = st.handle.clone();
 
-        // The "pre-copied" bases: each shard's newest checkpoint *before*
-        // the final cut — what a real destination would have replicated
-        // asynchronously while the source was still serving.
-        let bases: Vec<Option<Vec<u8>>> =
-            slots.iter().map(|slot| slot.candidates().into_iter().next()).collect();
-
         let mut tracker = HandoffTracker::new(from_shards);
         // Serving → Draining happens inside finish_with_cut (the fleet
         // flips its cells); mirror it in the tracker so the order is
@@ -274,55 +310,12 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
             tracker.advance(s, ShardPhase::Transferring).map_err(state_err)?;
             old_handle.cells()[s].set_phase(ShardPhase::Transferring);
             if s < survivors {
-                let final_frame = slot
-                    .candidates()
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| state_err(format!("shard {s}: no final cut to hand off")))?;
-                let seq = ShardCheckpoint::from_frame(&final_frame).map(|c| c.seq).unwrap_or(0);
-                let base = bases[s].as_ref().filter(|b| *b != &final_frame);
-                let payload = match base {
-                    Some(base_frame) => {
-                        let base_seq =
-                            ShardCheckpoint::from_frame(base_frame).map(|c| c.seq).unwrap_or(0);
-                        let delta = DeltaFrame::compute(base_frame, &final_frame);
-                        TransferPayload::Delta { base_seq, frame: delta.to_frame() }
-                    }
-                    None => TransferPayload::Full(final_frame.clone()),
-                };
-                let envelope = TransferFrame {
-                    source_shard: s,
-                    target_shard: s,
-                    from_generation: from_gen,
-                    to_generation: to_gen,
-                    seq,
-                    payload,
-                };
-                // Round-trip through wire bytes: the destination decodes,
-                // generation-checks and re-validates; the resolved frame
-                // must be bitwise the final cut or the handoff fails loudly.
-                let wire = envelope.to_frame();
-                let parsed = TransferFrame::from_frame(&wire)?;
-                let resolved = parsed.resolve(to_gen, base.map(|b| b.as_slice()))?;
-                if resolved != final_frame {
-                    return Err(HandoffError::Frame(darwin_ckpt::CkptError::Malformed(format!(
-                        "shard {s}: resolved transfer diverges from the final cut"
-                    ))));
+                // A shard with nothing to ship (it died before its first
+                // cut) leaves its successor to boot cold.
+                if let Some((stat, resolved)) = ship(slot, s, from_gen, to_gen)? {
+                    transfers.push(stat);
+                    seeds[s] = Some(resolved);
                 }
-                let shipped = match &parsed.payload {
-                    TransferPayload::Full(bytes) => bytes.len() as u64,
-                    TransferPayload::Delta { frame, .. } => frame.len() as u64,
-                };
-                transfers.push(TransferStat {
-                    shard: s,
-                    from_generation: from_gen,
-                    to_generation: to_gen,
-                    seq,
-                    full_bytes: final_frame.len() as u64,
-                    shipped_bytes: shipped,
-                    delta: matches!(parsed.payload, TransferPayload::Delta { .. }),
-                });
-                seeds[s] = Some(resolved);
             } else {
                 // Retired shard: its keyspace disperses across survivors;
                 // its spill must not resurrect under a later warm boot.
@@ -343,23 +336,14 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         }
 
         // Boot the successor generation warm from the resolved transfers.
-        let mut cfg = self.cfg;
-        cfg.shards = to_shards;
-        let fleet = ShardedFleet::with_boot(
-            cfg,
-            self.cache.clone(),
-            Box::new(self.ring.clone()),
-            mint(&self.factory),
-            FaultPlan::default(),
-            FleetBoot {
-                checkpoint_dir: self.checkpoint_dir.clone(),
-                warm_boot: true,
-                seeds,
-                generation: to_gen,
-                handoff: true,
-            },
+        let next = Self::launch(
+            FleetConfig { shards: to_shards, ..self.cfg },
+            &self.cache,
+            &self.router,
+            &self.factory,
+            FleetBoot { warm_boot: true, seeds, generation: to_gen, handoff: true, ..self.boot.clone() },
         );
-        let handle = fleet.metrics_handle();
+        let handle = next.handle.clone();
         let journal = &handle.cells()[0].obs().journal;
         journal.record(
             0,
@@ -370,10 +354,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
             },
         );
         journal.record(0, EventKind::Cutover { generation: to_gen });
-        st.fleet = Some(fleet);
-        st.handle = handle;
-        st.generation = to_gen;
-        st.shards = to_shards;
+        *st = next;
         Ok(transfers)
     }
 
@@ -383,30 +364,125 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
     /// set, every shard cuts a final checkpoint into the spill directory
     /// first — the artifact a successor process warm-boots from. Panics on
     /// a second call: the fleet serves (and finishes) exactly once.
-    pub fn finish_live(&self, final_cut: bool) -> ElasticReport {
+    pub fn finish_live(&self, final_cut: bool) -> ElasticReport<D> {
         let mut st = self.state.write().expect("elastic state poisoned");
         let fleet = st.fleet.take().expect("fleet serving");
         let report = if final_cut { fleet.finish_with_cut(st.shards) } else { fleet.finish() };
-        drop(report);
         let snap = st.handle.snapshot();
-        let generation = st.generation;
-        let shards = st.shards;
+        let (generation, shards) = (st.generation, st.shards);
         drop(st);
         let transfers = {
             let mut archive = self.archive.lock().expect("archive poisoned");
             archive.generations.push(Self::summarize(generation, shards, &snap));
             archive.transfers.clone()
         };
-        let metrics = self.merged(snap);
-        ElasticReport { metrics, transfers, submitted: self.submitted.load(Ordering::Relaxed) }
+        ElasticReport {
+            shards: report.shards,
+            metrics: self.merged(snap),
+            transfers,
+            submitted: self.submitted.load(Ordering::Relaxed),
+        }
     }
 
     /// Drains the serving generation and closes the book. With `final_cut`
     /// set, every shard cuts a final checkpoint into the spill directory
     /// first — the artifact a successor process warm-boots from.
-    pub fn finish(self, final_cut: bool) -> ElasticReport {
+    pub fn finish(self, final_cut: bool) -> ElasticReport<D> {
         self.finish_live(final_cut)
     }
+}
+
+/// One submitter's ingest front onto an [`ElasticFleet`], living across
+/// generations.
+///
+/// It wraps the serving generation's [`FleetProducer`] and keeps its
+/// per-shard staging buffers from frame to frame. For each frame it holds
+/// the generation lock's read side, so the whole frame lands in exactly one
+/// generation and a concurrent resize waits for it; it re-mints the inner
+/// producer only when a resize has retired the generation it points into.
+pub struct ElasticProducer<'a, D: AdmissionDriver + Send + 'static, E: Envelope> {
+    fleet: &'a ElasticFleet<D, E>,
+    /// The generation the inner producer delivers into, and the producer.
+    serving: Option<(u32, FleetProducer<D, E>)>,
+}
+
+impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticProducer<'_, D, E> {
+    /// Routes one frame into the serving generation and delivers every
+    /// touched shard's run with one queue operation each (see
+    /// [`FleetProducer::submit_frame`]). Returns how many envelopes the
+    /// frame held.
+    pub fn submit_frame(&mut self, envs: impl IntoIterator<Item = E>) -> u64 {
+        let st = self.fleet.state.read().expect("elastic state poisoned");
+        if self.serving.as_ref().is_none_or(|(generation, _)| *generation != st.generation) {
+            let fleet = st.fleet.as_ref().expect("fleet serving");
+            self.serving = Some((st.generation, fleet.ingest().producer()));
+        }
+        let (_, producer) = self.serving.as_mut().expect("minted above");
+        let n = producer.submit_frame(envs);
+        self.fleet.submitted.fetch_add(n, Ordering::Relaxed);
+        n
+    }
+}
+
+/// Ships shard `s`'s final cut from generation `from_gen` to `to_gen` as a
+/// [`TransferFrame`] and resolves it on the receiving side. Returns the
+/// transfer's ledger row and the resolved frame, or `None` when the slot
+/// holds no checkpoint at all.
+fn ship(
+    slot: &CheckpointSlot,
+    s: usize,
+    from_gen: u32,
+    to_gen: u32,
+) -> Result<Option<(TransferStat, Vec<u8>)>, HandoffError> {
+    // The final cut is the slot's newest frame. Its delta base — what a
+    // real destination would have pre-copied while the source still served
+    // — is the frame before it: the last periodic cut (or the seed this
+    // generation booted from). Read after the cut, it depends on the
+    // request stream alone, never on how far a worker had got when the
+    // resize began.
+    let mut candidates = slot.candidates().into_iter();
+    let Some(final_frame) = candidates.next() else { return Ok(None) };
+    let base = candidates.find(|b| *b != final_frame);
+    let seq = ShardCheckpoint::from_frame(&final_frame).map(|c| c.seq).unwrap_or(0);
+    let payload = match &base {
+        Some(base_frame) => {
+            let base_seq = ShardCheckpoint::from_frame(base_frame).map(|c| c.seq).unwrap_or(0);
+            let delta = DeltaFrame::compute(base_frame, &final_frame);
+            TransferPayload::Delta { base_seq, frame: delta.to_frame() }
+        }
+        None => TransferPayload::Full(final_frame.clone()),
+    };
+    let envelope = TransferFrame {
+        source_shard: s,
+        target_shard: s,
+        from_generation: from_gen,
+        to_generation: to_gen,
+        seq,
+        payload,
+    };
+    // Round-trip through wire bytes: the destination decodes,
+    // generation-checks and re-validates; the resolved frame must be
+    // bitwise the final cut or the handoff fails loudly.
+    let wire = envelope.to_frame();
+    let parsed = TransferFrame::from_frame(&wire)?;
+    let resolved = parsed.resolve(to_gen, base.as_deref())?;
+    if resolved != final_frame {
+        return Err(state_err(format!("shard {s}: resolved transfer diverges from the final cut")));
+    }
+    let shipped_bytes = match &parsed.payload {
+        TransferPayload::Full(bytes) => bytes.len() as u64,
+        TransferPayload::Delta { frame, .. } => frame.len() as u64,
+    };
+    let stat = TransferStat {
+        shard: s,
+        from_generation: from_gen,
+        to_generation: to_gen,
+        seq,
+        full_bytes: final_frame.len() as u64,
+        shipped_bytes,
+        delta: matches!(parsed.payload, TransferPayload::Delta { .. }),
+    };
+    Ok(Some((stat, resolved)))
 }
 
 /// A per-generation driver factory borrowing the shared closure.

@@ -56,7 +56,7 @@ pub use darwin_ckpt::delta::{DeltaFrame, DELTA_MAGIC, DELTA_VERSION};
 pub use darwin_ckpt::replica::{
     ReplicaError, ReplicaFrame, ReplicaPayload, ReplicaRole, REPLICA_MAGIC, REPLICA_VERSION,
 };
-pub use elastic::{ElasticFleet, ElasticReport, TransferStat};
+pub use elastic::{ElasticFleet, ElasticProducer, ElasticReport, TransferStat};
 pub use handoff::{
     HandoffError, HandoffTracker, TransferFrame, TransferPayload, TRANSFER_MAGIC, TRANSFER_VERSION,
 };

@@ -9,10 +9,12 @@
 //! delta-compressed transfer envelopes, and reproduces bit-for-bit when
 //! rerun from the same seed.
 
-use darwin_cache::{CacheConfig, ThresholdPolicy};
+use darwin_cache::{CacheConfig, CacheMetrics, ThresholdPolicy};
 use darwin_rebalance::{ElasticFleet, RingRouter, DEFAULT_SEED, DEFAULT_VNODES};
-use darwin_shard::{Backpressure, EventKind, FleetConfig, ShardPhase};
-use darwin_testbed::StaticDriver;
+use darwin_shard::{
+    Backpressure, EventKind, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, ShardPhase,
+};
+use darwin_testbed::{AdmissionDriver, StaticDriver};
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -47,10 +49,9 @@ fn elastic(shards: usize, dir: Option<std::path::PathBuf>, warm: bool) -> Elasti
     ElasticFleet::new(
         fleet_cfg(shards),
         cache_cfg(),
-        RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES),
+        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
         move |_| StaticDriver::new(policy),
-        dir,
-        warm,
+        FleetBoot { checkpoint_dir: dir, warm_boot: warm, ..FleetBoot::default() },
     )
 }
 
@@ -269,4 +270,96 @@ fn second_elastic_process_warm_boots() {
     assert_eq!(tail.metrics.total_restarts(), 0, "a warm boot is not a restart");
     assert_eq!(head.metrics.total_processed() + tail.metrics.total_processed(), trace.len() as u64);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Shed requests close the ledger too: with a tight watermark and a fault
+/// plan that stalls every shard's first requests — a plan every generation
+/// runs afresh — both generations shed, and the lifetime ledger still
+/// balances as `processed + dropped + unavailable + shed == submitted`.
+#[test]
+fn shedding_fleet_conserves_across_resize() {
+    let policy = ThresholdPolicy::new(2, 100 * 1024);
+    let stall = FaultPlan::new(
+        (0..4)
+            .flat_map(|shard| {
+                (0..8).map(move |at| FaultEvent { shard, at, kind: FaultKind::Delay { spins: 500_000 } })
+            })
+            .collect(),
+    );
+    let fleet: ElasticFleet<StaticDriver> = ElasticFleet::new(
+        FleetConfig { shed_watermark: Some(32), checkpoint_every: None, ..fleet_cfg(2) },
+        cache_cfg(),
+        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
+        move |_| StaticDriver::new(policy),
+        FleetBoot { fault_plan: stall, ..FleetBoot::default() },
+    );
+    let trace = test_trace(16_000);
+    let fs = frames(&trace, 64);
+    let mut producer = fleet.producer();
+    for f in &fs[..fs.len() / 2] {
+        producer.submit_frame(f.iter().cloned());
+    }
+    fleet.resize(4).expect("2 -> 4 while shedding");
+    for f in &fs[fs.len() / 2..] {
+        producer.submit_frame(f.iter().cloned());
+    }
+    drop(producer);
+    let report = fleet.finish(false);
+
+    let gens = &report.metrics.generations;
+    assert_eq!(gens.len(), 2);
+    assert!(gens.iter().all(|g| g.shed > 0), "every generation runs the stall and sheds: {gens:?}");
+    assert_eq!(gens.iter().map(|g| g.shed).sum::<u64>(), report.total_shed());
+    assert_eq!(report.submitted, trace.len() as u64);
+    assert!(report.conserved(), "processed + dropped + unavailable + shed == submitted");
+    assert_eq!(
+        gens.iter().map(|g| g.processed + g.dropped + g.unavailable + g.shed).sum::<u64>(),
+        report.submitted,
+        "the generation rows partition the submitted total"
+    );
+}
+
+/// A driver that cannot checkpoint (the trait's default `save_state`).
+struct Forgetful;
+
+impl AdmissionDriver for Forgetful {
+    fn initial_policy(&mut self) -> ThresholdPolicy {
+        ThresholdPolicy::new(2, 100 * 1024)
+    }
+    fn observe(&mut self, _req: &Request, _m: &CacheMetrics) -> Option<ThresholdPolicy> {
+        None
+    }
+    fn label(&self) -> String {
+        "forgetful".into()
+    }
+}
+
+/// A fleet with nothing to hand off still resizes: shards whose drivers
+/// cannot checkpoint cut no final frame, so their successors boot cold —
+/// the resize neither fails nor loses a request.
+#[test]
+fn shards_without_a_cut_boot_cold_after_a_resize() {
+    let fleet: ElasticFleet<Forgetful> = ElasticFleet::new(
+        fleet_cfg(2),
+        cache_cfg(),
+        Box::new(RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES)),
+        |_| Forgetful,
+        FleetBoot::default(),
+    );
+    let trace = test_trace(8_000);
+    let fs = frames(&trace, 500);
+    for f in &fs[..8] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    let shipped = fleet.resize(4).expect("a resize with nothing to ship still succeeds");
+    assert!(shipped.is_empty(), "no cut, no transfer: {shipped:?}");
+    for f in &fs[8..] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    let report = fleet.finish(false);
+    assert!(report.conserved());
+    assert_eq!(report.total_processed(), trace.len() as u64);
+    let gens = &report.metrics.generations;
+    assert_eq!(gens.iter().map(|g| (g.generation, g.shards)).collect::<Vec<_>>(), vec![(0, 2), (1, 4)]);
+    assert_eq!(gens[1].warm_boots, 0, "every successor shard boots cold");
 }

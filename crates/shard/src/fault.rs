@@ -41,10 +41,11 @@
 //! Plans can be written by hand ([`FaultPlan::new`] / [`FaultPlan::push`]) or
 //! generated from a seed ([`FaultPlan::random`]) — both are plain data
 //! (serde-serializable) so a failing chaos run can be replayed from its
-//! logged plan. The empty plan is the identity: a fleet built through
-//! [`ShardedFleet::with_fault_plan`](crate::ShardedFleet::with_fault_plan)
-//! with `FaultPlan::default()` is bitwise identical to one built without a
-//! plan (`tests/chaos.rs` enforces this against the sequential replay).
+//! logged plan. A fleet takes its plan from
+//! [`FleetBoot::fault_plan`](crate::FleetBoot::fault_plan). The empty plan
+//! is the identity: a fleet booted with `FaultPlan::default()` is bitwise
+//! identical to one built without a plan (`tests/chaos.rs` enforces this
+//! against the sequential replay).
 
 use serde::{Deserialize, Serialize};
 

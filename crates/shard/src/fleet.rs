@@ -242,7 +242,8 @@ impl FleetConfig {
 
 /// How a fleet comes up: cold (the historical default), warm from each
 /// shard's spill file in `checkpoint_dir` (cross-process warm boot), or warm
-/// from explicit per-shard seed frames (an elastic-resize handoff).
+/// from explicit per-shard seed frames (an elastic-resize handoff) — and
+/// which scripted faults its workers run.
 ///
 /// Warm boots are *validated per shard*: a seed or spill frame that fails
 /// CRC/decode/shard-index checks makes exactly that shard boot detected-cold
@@ -251,6 +252,12 @@ impl FleetConfig {
 /// resolves.
 #[derive(Debug, Clone, Default)]
 pub struct FleetBoot {
+    /// Scripted faults threaded into the shard workers, keyed by per-shard
+    /// submission index from this boot on. The empty plan (the default) is
+    /// the identity: it leaves the fleet bitwise identical to one without a
+    /// plan. Chaos tests and benches set it; production paths leave it
+    /// empty.
+    pub fault_plan: FaultPlan,
     /// Spill directory for checkpoint frames (created if missing). With
     /// `warm_boot` unset, stale spill files for this fleet's shards are
     /// cleared up front — the historical cold-boot semantics deterministic
@@ -437,7 +444,7 @@ struct ShardState<D, E> {
 /// The shared heart of a fleet: configuration, router, per-shard lanes.
 /// [`ShardedFleet`] owns one behind an `Arc`; every [`FleetProducer`] holds
 /// the same `Arc` and delivers through the lane locks.
-struct FleetCore<D, E> {
+struct FleetInner<D, E> {
     cfg: FleetConfig,
     cache: CacheConfig,
     router: Arc<dyn Router>,
@@ -462,7 +469,7 @@ struct FleetCore<D, E> {
     shards: Vec<ShardState<D, E>>,
 }
 
-impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
+impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetInner<D, E> {
     /// Delivers a staged run into shard `s`'s queue (one `push_batch`).
     /// `now` feeds the supervisor's restart window if the delivery detects a
     /// death. Returns true when a worker death was detected and settled.
@@ -638,7 +645,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetCore<D, E> {
 /// A running fleet. Submit requests (or any [`Envelope`] around them), then
 /// [`finish`](Self::finish) to join the workers and collect the report.
 pub struct ShardedFleet<D: AdmissionDriver + Send + 'static, E: Envelope = Request> {
-    core: Arc<FleetCore<D, E>>,
+    core: Arc<FleetInner<D, E>>,
     /// Per-shard scripted panic indices (sorted) and a cursor into each —
     /// the submitter-side half of the scripted-panic synchronization.
     panic_at: Vec<Vec<u64>>,
@@ -652,69 +659,28 @@ pub struct ShardedFleet<D: AdmissionDriver + Send + 'static, E: Envelope = Reque
 impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
     /// Spawns the fleet: one worker thread, cache server, queue and driver
     /// per shard. `factory(s)` builds shard `s`'s driver — it is retained
-    /// so the supervisor can build fresh drivers for cold restarts.
+    /// so the supervisor can build fresh drivers for cold restarts. The
+    /// fleet boots cold, with no spill directory and no scripted faults.
     pub fn new(
         cfg: FleetConfig,
         cache: CacheConfig,
         router: Box<dyn Router>,
         factory: impl FnMut(usize) -> D + Send + 'static,
     ) -> Self {
-        Self::with_fault_plan(cfg, cache, router, factory, FaultPlan::default())
+        Self::with_boot(cfg, cache, router, factory, FleetBoot::default())
     }
 
-    /// [`new`](Self::new) plus a scripted [`FaultPlan`] threaded into the
-    /// shard workers. The empty plan is the identity: it leaves the fleet
-    /// bitwise identical to one built without a plan. Intended for chaos
-    /// tests and benches; production paths pass no plan.
-    pub fn with_fault_plan(
-        cfg: FleetConfig,
-        cache: CacheConfig,
-        router: Box<dyn Router>,
-        factory: impl FnMut(usize) -> D + Send + 'static,
-        fault: FaultPlan,
-    ) -> Self {
-        Self::with_recovery(cfg, cache, router, factory, fault, None)
-    }
-
-    /// [`with_fault_plan`](Self::with_fault_plan) plus an optional on-disk
-    /// spill directory for warm-restart checkpoints. When `checkpoint_dir`
-    /// is given, each shard's latest checkpoint frame is also written to
-    /// `dir/shard-{s}.ckpt` (temp-file + atomic rename); stale spill files
-    /// for this fleet's shards are removed up front so a reused directory
-    /// never resurrects a previous run's state (cold-boot semantics —
-    /// deterministic reruns rely on them). To *restore* from the spill
-    /// files instead, boot through [`with_boot`](Self::with_boot) with
-    /// [`FleetBoot::warm_boot`] set.
-    pub fn with_recovery(
-        cfg: FleetConfig,
-        cache: CacheConfig,
-        router: Box<dyn Router>,
-        factory: impl FnMut(usize) -> D + Send + 'static,
-        fault: FaultPlan,
-        checkpoint_dir: Option<std::path::PathBuf>,
-    ) -> Self {
-        Self::with_boot(
-            cfg,
-            cache,
-            router,
-            factory,
-            fault,
-            FleetBoot { checkpoint_dir, ..FleetBoot::default() },
-        )
-    }
-
-    /// The full-control constructor: [`with_recovery`](Self::with_recovery)
-    /// semantics plus the warm-boot/handoff behaviour described on
-    /// [`FleetBoot`]. With `boot.warm_boot` set, each shard's initial
-    /// incarnation attempts a restore — from its validated seed frame if
-    /// one is given, else from its spill file — and falls back
-    /// detected-cold per shard on any validation failure.
+    /// [`new`](Self::new) booted as `boot` describes: its scripted
+    /// [`FaultPlan`], its spill directory, and a cold, spill-file or seeded
+    /// warm start (see [`FleetBoot`]). With `boot.warm_boot` set, each
+    /// shard's initial incarnation attempts a restore — from its validated
+    /// seed frame if one is given, else from its spill file — and falls
+    /// back detected-cold per shard on any validation failure.
     pub fn with_boot(
         cfg: FleetConfig,
         cache: CacheConfig,
         router: Box<dyn Router>,
         factory: impl FnMut(usize) -> D + Send + 'static,
-        fault: FaultPlan,
         boot: FleetBoot,
     ) -> Self {
         assert!(cfg.shards > 0, "fleet needs at least one shard");
@@ -725,12 +691,12 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
                 crate::ckpt::clear_spill_dir(dir, cfg.shards);
             }
         }
-        let panic_at = fault.panic_indices(cfg.shards);
-        let core = Arc::new(FleetCore {
+        let panic_at = boot.fault_plan.panic_indices(cfg.shards);
+        let core = Arc::new(FleetInner {
             cache,
             router: Arc::from(router),
             factory: Mutex::new(Box::new(factory)),
-            fault,
+            fault: boot.fault_plan,
             total_submitted: AtomicU64::new(0),
             warm_boot: boot.warm_boot,
             boot_handoff: boot.handoff,
@@ -1038,7 +1004,7 @@ impl<D: AdmissionDriver + Send + 'static> ShardedFleet<D, Request> {
 /// thread) lets N submitters route and stage concurrently; only the final
 /// per-shard `push_batch` serializes, per shard, on that shard's lane.
 pub struct FleetIngest<D: AdmissionDriver + Send + 'static, E: Envelope> {
-    core: Arc<FleetCore<D, E>>,
+    core: Arc<FleetInner<D, E>>,
 }
 
 impl<D: AdmissionDriver + Send + 'static, E: Envelope> Clone for FleetIngest<D, E> {
@@ -1075,7 +1041,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetIngest<D, E> {
 /// Dropping the producer flushes whatever is still staged, so envelopes are
 /// never stranded in a torn-down connection's buffers.
 pub struct FleetProducer<D: AdmissionDriver + Send + 'static, E: Envelope> {
-    core: Arc<FleetCore<D, E>>,
+    core: Arc<FleetInner<D, E>>,
     staged: Vec<Vec<E>>,
 }
 
@@ -1095,8 +1061,9 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetProducer<D, E> {
     /// runs, then delivers every touched shard's run with one queue
     /// operation each. This is the gateway's per-`GET`-frame path: the
     /// client is waiting on the frame's verdicts, so the runs flush
-    /// immediately instead of pooling toward the batch threshold.
-    pub fn submit_frame(&mut self, envs: impl IntoIterator<Item = E>) {
+    /// immediately instead of pooling toward the batch threshold. Returns
+    /// how many envelopes the frame held.
+    pub fn submit_frame(&mut self, envs: impl IntoIterator<Item = E>) -> u64 {
         let mut n = 0u64;
         for env in envs {
             let s = self.core.router.route(env.request().id, self.core.cfg.shards);
@@ -1107,6 +1074,7 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> FleetProducer<D, E> {
             self.core.total_submitted.fetch_add(n, Ordering::Relaxed);
         }
         self.flush();
+        n
     }
 
     /// Delivers every staged run to its shard.
@@ -1348,10 +1316,19 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
                             EventKind::FaultInjected { fault: fault_label(&kind) },
                         );
                         match kind {
-                            FaultKind::Panic => panic!(
-                                "scripted fault: shard {shard} dies at per-shard request {}",
-                                start + processed
-                            ),
+                            FaultKind::Panic => {
+                                // Close the queue before the unwind answers
+                                // the in-flight envelopes: a submitter that
+                                // sees their verdicts then always finds the
+                                // shard dead at its next delivery, so where
+                                // a death is detected depends on the
+                                // request stream, not on thread timing.
+                                rx.close();
+                                panic!(
+                                    "scripted fault: shard {shard} dies at per-shard request {}",
+                                    start + processed
+                                )
+                            }
                             FaultKind::Delay { spins } => {
                                 for _ in 0..spins {
                                     std::hint::spin_loop();
@@ -1650,12 +1627,12 @@ mod tests {
     fn scripted_panic_restarts_the_shard_and_conserves_answers() {
         let t = trace(12_000, 21);
         let plan = FaultPlan::new(vec![FaultEvent { shard: 0, at: 100, kind: FaultKind::Panic }]);
-        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
             FleetConfig { shards: 2, batch: 32, ..FleetConfig::default() },
             CacheConfig::small_test(),
             Box::new(HashRouter),
             |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
-            plan,
+            FleetBoot { fault_plan: plan, ..FleetBoot::default() },
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
@@ -1677,7 +1654,7 @@ mod tests {
     fn exhausted_budget_buries_the_shard_and_degrades() {
         let t = trace(10_000, 33);
         let plan = FaultPlan::new(vec![FaultEvent { shard: 0, at: 50, kind: FaultKind::Panic }]);
-        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
             FleetConfig {
                 shards: 2,
                 restart_budget: RestartBudget::with_max_restarts(0),
@@ -1686,7 +1663,7 @@ mod tests {
             CacheConfig::small_test(),
             Box::new(HashRouter),
             |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
-            plan,
+            FleetBoot { fault_plan: plan, ..FleetBoot::default() },
         );
         fleet.submit_trace(&t);
         assert_eq!(fleet.dead_shards(), 1);
@@ -1714,12 +1691,12 @@ mod tests {
         // Panic exactly at a checkpoint boundary: the respawn restores the
         // checkpoint taken at seq 1_000 (covering requests [0, 1_000)).
         let plan = FaultPlan::new(vec![FaultEvent { shard: 0, at: 1_000, kind: FaultKind::Panic }]);
-        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
             FleetConfig { shards: 2, batch: 32, checkpoint_every: Some(500), ..FleetConfig::default() },
             CacheConfig::small_test(),
             Box::new(HashRouter),
             |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
-            plan,
+            FleetBoot { fault_plan: plan, ..FleetBoot::default() },
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
@@ -1749,7 +1726,7 @@ mod tests {
                 FaultEvent { shard: 0, at: 1_000, kind: FaultKind::CorruptCheckpoint { torn } },
                 FaultEvent { shard: 0, at: 1_000, kind: FaultKind::Panic },
             ]);
-            let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+            let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
                 FleetConfig {
                     shards: 2,
                     batch: 32,
@@ -1759,7 +1736,7 @@ mod tests {
                 CacheConfig::small_test(),
                 Box::new(HashRouter),
                 |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
-                plan,
+                FleetBoot { fault_plan: plan, ..FleetBoot::default() },
             );
             fleet.submit_trace(&t);
             let report = fleet.finish();
@@ -1782,12 +1759,12 @@ mod tests {
     fn delay_and_queue_full_faults_do_not_change_results() {
         let t = trace(8_000, 44);
         let run = |plan: FaultPlan| {
-            let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+            let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
                 FleetConfig { shards: 2, queue_capacity: 32, batch: 8, ..FleetConfig::default() },
                 CacheConfig::small_test(),
                 Box::new(HashRouter),
                 |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
-                plan,
+                FleetBoot { fault_plan: plan, ..FleetBoot::default() },
             );
             fleet.submit_trace(&t);
             fleet.finish()

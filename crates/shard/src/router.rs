@@ -24,6 +24,20 @@ pub trait Router: Send + Sync {
     fn label(&self) -> String;
 }
 
+/// A shared router routes exactly like the router it wraps, so one router
+/// instance can serve a succession of fleets (an elastic fleet's
+/// generations).
+impl Router for std::sync::Arc<dyn Router> {
+    #[inline]
+    fn route(&self, id: ObjectId, shards: usize) -> usize {
+        (**self).route(id, shards)
+    }
+
+    fn label(&self) -> String {
+        (**self).label()
+    }
+}
+
 /// Hash partitioning over a SplitMix64-style finalizer (the default).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashRouter;

@@ -8,8 +8,8 @@
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
-    run_sequential, Backpressure, Envelope, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter,
-    RestartBudget, ShardedFleet, Verdict,
+    run_sequential, Backpressure, Envelope, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig,
+    HashRouter, RestartBudget, ShardedFleet, Verdict,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
@@ -68,7 +68,7 @@ fn check_conservation(shards: usize, plan: FaultPlan, budget: RestartBudget, bp:
     let n = 6_000usize;
     let t = trace(n, 7);
     let counts = Arc::new(Counts::default());
-    let mut fleet: ShardedFleet<StaticDriver, CountingEnvelope> = ShardedFleet::with_fault_plan(
+    let mut fleet: ShardedFleet<StaticDriver, CountingEnvelope> = ShardedFleet::with_boot(
         FleetConfig {
             shards,
             queue_capacity: 128,
@@ -83,7 +83,7 @@ fn check_conservation(shards: usize, plan: FaultPlan, budget: RestartBudget, bp:
         CacheConfig::small_test(),
         Box::new(HashRouter),
         driver,
-        plan,
+        FleetBoot { fault_plan: plan, ..FleetBoot::default() },
     );
     for req in t.iter() {
         fleet.submit(CountingEnvelope { req: *req, counts: Arc::clone(&counts), answered: false });
@@ -150,7 +150,7 @@ proptest! {
 fn empty_fault_plan_is_bitwise_identical_to_sequential_replay() {
     let t = trace(30_000, 4242);
     for &shards in &[1usize, 2, 8] {
-        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
             FleetConfig {
                 shards,
                 queue_capacity: 64,
@@ -165,7 +165,7 @@ fn empty_fault_plan_is_bitwise_identical_to_sequential_replay() {
             CacheConfig::small_test(),
             Box::new(HashRouter),
             driver,
-            FaultPlan::default(),
+            FleetBoot::default(),
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
@@ -192,7 +192,7 @@ fn fault_runs_reproduce_bit_for_bit() {
     let run = || {
         let t = trace(9_000, 11);
         let plan = FaultPlan::random(99, 2, 3_000, 4);
-        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
             FleetConfig {
                 shards: 2,
                 queue_capacity: 128,
@@ -207,7 +207,7 @@ fn fault_runs_reproduce_bit_for_bit() {
             CacheConfig::small_test(),
             Box::new(HashRouter),
             driver,
-            plan,
+            FleetBoot { fault_plan: plan, ..FleetBoot::default() },
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
@@ -243,7 +243,7 @@ fn fault_runs_reproduce_bit_for_bit() {
 fn stall_faults_are_result_invisible() {
     let t = trace(8_000, 5);
     let run = |plan: FaultPlan| {
-        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+        let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
             FleetConfig {
                 shards: 2,
                 queue_capacity: 64,
@@ -258,7 +258,7 @@ fn stall_faults_are_result_invisible() {
             CacheConfig::small_test(),
             Box::new(HashRouter),
             driver,
-            plan,
+            FleetBoot { fault_plan: plan, ..FleetBoot::default() },
         );
         fleet.submit_trace(&t);
         fleet.finish()

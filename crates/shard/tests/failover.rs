@@ -22,8 +22,8 @@ use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_obs::EventKind;
 use darwin_shard::{
-    partition, run_partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter,
-    RestartBudget, ShardedFleet,
+    partition, run_partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig,
+    HashRouter, RestartBudget, ShardedFleet,
 };
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -144,7 +144,7 @@ fn check_promoted_failover_bitwise(shards: usize) {
     let model = model();
     let trace = test_trace();
 
-    let mut fleet = ShardedFleet::with_fault_plan(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
@@ -152,7 +152,7 @@ fn check_promoted_failover_bitwise(shards: usize) {
             let model = Arc::clone(&model);
             move |_| DarwinDriver::new(Arc::clone(&model), online_cfg())
         },
-        exhausting_plan(),
+        FleetBoot { fault_plan: exhausting_plan(), ..FleetBoot::default() },
     );
     let handle = fleet.metrics_handle();
     fleet.submit_trace(&trace);
@@ -263,12 +263,12 @@ fn promoted_failover_bitwise_at_8_shards() {
 fn without_replicas_the_same_plan_buries_and_degrades() {
     let trace = test_trace();
     let policy = ThresholdPolicy::new(2, 100 * 1024);
-    let mut fleet = ShardedFleet::with_fault_plan(
+    let mut fleet = ShardedFleet::with_boot(
         FleetConfig { replicas: 0, ..fleet_cfg(2) },
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
-        exhausting_plan(),
+        FleetBoot { fault_plan: exhausting_plan(), ..FleetBoot::default() },
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
@@ -294,19 +294,22 @@ fn without_replicas_the_same_plan_buries_and_degrades() {
 fn lost_standby_falls_back_to_burial_detected() {
     let trace = test_trace();
     let policy = ThresholdPolicy::new(2, 100 * 1024);
-    let mut fleet = ShardedFleet::with_fault_plan(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(2),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
-        FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: KILL1_AT, kind: FaultKind::Panic },
-            // The standby dies at the same index as the primary's fatal
-            // request: no cut lands in between, so there is no re-seed and
-            // nothing to promote.
-            FaultEvent { shard: 0, at: KILL2_AT, kind: FaultKind::CorruptStandby },
-            FaultEvent { shard: 0, at: KILL2_AT, kind: FaultKind::Panic },
-        ]),
+        FleetBoot {
+            fault_plan: FaultPlan::new(vec![
+                FaultEvent { shard: 0, at: KILL1_AT, kind: FaultKind::Panic },
+                // The standby dies at the same index as the primary's fatal
+                // request: no cut lands in between, so there is no re-seed and
+                // nothing to promote.
+                FaultEvent { shard: 0, at: KILL2_AT, kind: FaultKind::CorruptStandby },
+                FaultEvent { shard: 0, at: KILL2_AT, kind: FaultKind::Panic },
+            ]),
+            ..FleetBoot::default()
+        },
     );
     let handle = fleet.metrics_handle();
     fleet.submit_trace(&trace);

@@ -15,7 +15,8 @@ use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_obs::{encode_fleet_events, EventKind, JournalSnapshot};
 use darwin_shard::{
-    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter, RestartBudget, ShardedFleet,
+    Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, HashRouter, RestartBudget,
+    ShardedFleet,
 };
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -41,7 +42,7 @@ fn plan() -> FaultPlan {
 /// the decoded journals for shape assertions.
 fn static_run(shards: usize) -> (Vec<u8>, Vec<(u32, JournalSnapshot)>) {
     let t = trace(8_000, 42);
-    let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+    let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
         FleetConfig {
             shards,
             queue_capacity: 128,
@@ -56,7 +57,7 @@ fn static_run(shards: usize) -> (Vec<u8>, Vec<(u32, JournalSnapshot)>) {
         CacheConfig::small_test(),
         Box::new(HashRouter),
         |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
-        plan(),
+        FleetBoot { fault_plan: plan(), ..FleetBoot::default() },
     );
     let handle = fleet.metrics_handle();
     fleet.submit_trace(&t);
@@ -94,7 +95,7 @@ fn check_static_determinism(shards: usize) {
 /// under the byte-determinism gate.
 fn failover_run(shards: usize) -> (Vec<u8>, Vec<(u32, JournalSnapshot)>) {
     let t = trace(24_000, 42);
-    let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_fault_plan(
+    let mut fleet: ShardedFleet<StaticDriver> = ShardedFleet::with_boot(
         FleetConfig {
             shards,
             queue_capacity: 128,
@@ -109,11 +110,14 @@ fn failover_run(shards: usize) -> (Vec<u8>, Vec<(u32, JournalSnapshot)>) {
         CacheConfig::small_test(),
         Box::new(HashRouter),
         |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
-        FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: 512, kind: FaultKind::Panic },
-            FaultEvent { shard: 0, at: 600, kind: FaultKind::CorruptStandby },
-            FaultEvent { shard: 0, at: 1_024, kind: FaultKind::Panic },
-        ]),
+        FleetBoot {
+            fault_plan: FaultPlan::new(vec![
+                FaultEvent { shard: 0, at: 512, kind: FaultKind::Panic },
+                FaultEvent { shard: 0, at: 600, kind: FaultKind::CorruptStandby },
+                FaultEvent { shard: 0, at: 1_024, kind: FaultKind::Panic },
+            ]),
+            ..FleetBoot::default()
+        },
     );
     let handle = fleet.metrics_handle();
     fleet.submit_trace(&t);

@@ -11,8 +11,8 @@
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
-    Backpressure, Envelope, EventKind, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter,
-    ShardedFleet, Verdict,
+    Backpressure, Envelope, EventKind, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig,
+    HashRouter, ShardedFleet, Verdict,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
@@ -96,7 +96,7 @@ fn check_shed_conservation(shards: usize) {
             .collect(),
     );
     let counts = Arc::new(Counts::default());
-    let fleet: ShardedFleet<StaticDriver, CountingEnvelope> = ShardedFleet::with_fault_plan(
+    let fleet: ShardedFleet<StaticDriver, CountingEnvelope> = ShardedFleet::with_boot(
         FleetConfig {
             shards,
             queue_capacity: 128,
@@ -111,7 +111,7 @@ fn check_shed_conservation(shards: usize) {
         CacheConfig::small_test(),
         Box::new(HashRouter),
         driver,
-        plan,
+        FleetBoot { fault_plan: plan, ..FleetBoot::default() },
     );
     let metrics = fleet.metrics_handle();
     let ingest = fleet.ingest();

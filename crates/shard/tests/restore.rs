@@ -19,8 +19,8 @@ use darwin::{DarwinModel, Expert, ExpertGrid, OfflineConfig, OfflineTrainer, Onl
 use darwin_cache::{CacheConfig, CacheMetrics, CacheServer, ThresholdPolicy};
 use darwin_nn::TrainConfig;
 use darwin_shard::{
-    partition, run_partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetConfig, HashRouter,
-    ShardCheckpoint, ShardedFleet,
+    partition, run_partition, Backpressure, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig,
+    HashRouter, ShardCheckpoint, ShardedFleet,
 };
 use darwin_testbed::{DarwinDriver, StaticDriver};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -120,7 +120,7 @@ fn check_warm_boundary_restore(shards: usize) {
     let model = model();
     let trace = test_trace();
 
-    let mut fleet = ShardedFleet::with_fault_plan(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
@@ -128,7 +128,14 @@ fn check_warm_boundary_restore(shards: usize) {
             let model = Arc::clone(&model);
             move |_| DarwinDriver::new(Arc::clone(&model), online_cfg())
         },
-        FaultPlan::new(vec![FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic }]),
+        FleetBoot {
+            fault_plan: FaultPlan::new(vec![FaultEvent {
+                shard: 0,
+                at: KILL_AT,
+                kind: FaultKind::Panic,
+            }]),
+            ..FleetBoot::default()
+        },
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
@@ -206,7 +213,7 @@ fn corrupted_checkpoint_falls_back_cold_bitwise() {
     let trace = test_trace();
     let shards = 2;
 
-    let mut fleet = ShardedFleet::with_fault_plan(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
@@ -214,13 +221,16 @@ fn corrupted_checkpoint_falls_back_cold_bitwise() {
             let model = Arc::clone(&model);
             move |_| DarwinDriver::new(Arc::clone(&model), online_cfg())
         },
-        FaultPlan::new(vec![
-            // Bit rot on every candidate, then death at the same index: the
-            // corruption fires first (fault ordering), so the respawn finds
-            // no valid frame and must fall back cold — detectably.
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
-        ]),
+        FleetBoot {
+            fault_plan: FaultPlan::new(vec![
+                // Bit rot on every candidate, then death at the same index: the
+                // corruption fires first (fault ordering), so the respawn finds
+                // no valid frame and must fall back cold — detectably.
+                FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
+                FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
+            ]),
+            ..FleetBoot::default()
+        },
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
@@ -271,15 +281,18 @@ fn corrupted_checkpoint_falls_back_cold_bitwise() {
 fn torn_checkpoint_falls_back_cold() {
     let trace = test_trace();
     let policy = ThresholdPolicy::new(2, 100 * 1024);
-    let mut fleet = ShardedFleet::with_fault_plan(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(2),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
-        FaultPlan::new(vec![
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: true } },
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
-        ]),
+        FleetBoot {
+            fault_plan: FaultPlan::new(vec![
+                FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: true } },
+                FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
+            ]),
+            ..FleetBoot::default()
+        },
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
@@ -298,13 +311,20 @@ fn disk_spill_parses_and_restores_after_exit() {
     let shards = 2;
     let trace = test_trace();
     let policy = ThresholdPolicy::new(2, 100 * 1024);
-    let mut fleet = ShardedFleet::with_recovery(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
-        FaultPlan::new(vec![FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic }]),
-        Some(dir.clone()),
+        FleetBoot {
+            fault_plan: FaultPlan::new(vec![FaultEvent {
+                shard: 0,
+                at: KILL_AT,
+                kind: FaultKind::Panic,
+            }]),
+            checkpoint_dir: Some(dir.clone()),
+            ..FleetBoot::default()
+        },
     );
     fleet.submit_trace(&trace);
     let report = fleet.finish();
@@ -338,18 +358,21 @@ fn fleet_metrics_merge_and_conservation_across_warm_restarts() {
     let trace = test_trace();
     let policy = ThresholdPolicy::new(2, 100 * 1024);
     let shards = 4;
-    let mut fleet = ShardedFleet::with_fault_plan(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(policy),
-        FaultPlan::new(vec![
-            // One warm restart (boundary kill on shard 0) and one cold: shard
-            // 1's candidates are corrupted right before its death.
-            FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
-            FaultEvent { shard: 1, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
-            FaultEvent { shard: 1, at: KILL_AT, kind: FaultKind::Panic },
-        ]),
+        FleetBoot {
+            fault_plan: FaultPlan::new(vec![
+                // One warm restart (boundary kill on shard 0) and one cold: shard
+                // 1's candidates are corrupted right before its death.
+                FaultEvent { shard: 0, at: KILL_AT, kind: FaultKind::Panic },
+                FaultEvent { shard: 1, at: KILL_AT, kind: FaultKind::CorruptCheckpoint { torn: false } },
+                FaultEvent { shard: 1, at: KILL_AT, kind: FaultKind::Panic },
+            ]),
+            ..FleetBoot::default()
+        },
     );
     let handle = fleet.metrics_handle();
     fleet.submit_trace(&trace);

@@ -10,8 +10,7 @@
 
 use darwin_cache::{CacheConfig, ThresholdPolicy};
 use darwin_shard::{
-    partition, run_partition, Backpressure, EventKind, FaultPlan, FleetBoot, FleetConfig, HashRouter,
-    ShardedFleet,
+    partition, run_partition, Backpressure, EventKind, FleetBoot, FleetConfig, HashRouter, ShardedFleet,
 };
 use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
@@ -59,13 +58,12 @@ fn first_instance(
     head: &Trace,
 ) -> Vec<darwin_cache::CacheMetrics> {
     let p = policy();
-    let mut fleet = ShardedFleet::with_recovery(
+    let mut fleet = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(p),
-        FaultPlan::default(),
-        Some(dir.to_path_buf()),
+        FleetBoot { checkpoint_dir: Some(dir.to_path_buf()), ..FleetBoot::default() },
     );
     fleet.submit_trace(head);
     let report = fleet.finish_with_cut(shards);
@@ -90,7 +88,6 @@ fn second_instance_warm_boots_from_first_spill() {
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(p),
-        FaultPlan::default(),
         FleetBoot::warm_from(dir.clone()),
     );
     let handle = fleet.metrics_handle();
@@ -150,7 +147,6 @@ fn corrupt_spill_detects_cold_per_shard() {
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(p),
-        FaultPlan::default(),
         FleetBoot::warm_from(dir.clone()),
     );
     let handle = fleet.metrics_handle();
@@ -180,8 +176,8 @@ fn corrupt_spill_detects_cold_per_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The pre-fix semantics stay pinned for cold constructors: `with_recovery`
-/// clears stale spill files up front, so a rerun never resurrects a previous
+/// The pre-fix semantics stay pinned for cold boots: a spill directory without
+/// `warm_boot` clears stale spill files up front, so a rerun never resurrects a previous
 /// run's state.
 #[test]
 fn cold_constructor_still_clears_stale_spills() {
@@ -194,13 +190,12 @@ fn cold_constructor_still_clears_stale_spills() {
     assert!(dir.join("shard-0.ckpt").exists());
 
     let p = policy();
-    let fleet: ShardedFleet<_> = ShardedFleet::with_recovery(
+    let fleet: ShardedFleet<_> = ShardedFleet::with_boot(
         fleet_cfg(shards),
         cache_cfg(),
         Box::new(HashRouter),
         move |_| StaticDriver::new(p),
-        FaultPlan::default(),
-        Some(dir.clone()),
+        FleetBoot { checkpoint_dir: Some(dir.clone()), ..FleetBoot::default() },
     );
     let handle = fleet.metrics_handle();
     fleet.finish();

@@ -24,8 +24,9 @@ cargo test -p darwin-gateway --test loopback -q -- \
     darwin_gateway_equivalent_to_sequential_replay \
     stats_frame_returns_parseable_snapshot \
     shutdown_frame_drains_gateway \
-    resize_frame_reshards_elastic_gateway \
-    static_gateway_refuses_resize_with_error_ack
+    resize_frame_reshards_gateway \
+    zero_shard_resize_is_refused_and_gateway_keeps_serving \
+    resize_with_shard_panic_checkpoints_and_standby_conserves_and_reproduces
 
 echo "== chaos: fault-plan conservation (proptest + bitwise regression) =="
 cargo test -p darwin-shard --test chaos -q
