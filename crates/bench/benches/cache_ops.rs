@@ -48,7 +48,7 @@ fn bench_lru_store(c: &mut Criterion) {
             let mut s = Store::lru(1_000_000);
             for i in 0..100_000u64 {
                 if !s.touch(i % 2_000) {
-                    s.insert(i % 2_000, 997);
+                    s.insert(i % 2_000, 997, |_, _| {});
                 }
             }
             black_box(s.len())

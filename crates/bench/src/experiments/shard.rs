@@ -32,7 +32,6 @@ use darwin_testbed::StaticDriver;
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
 use serde::Serialize;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Shard counts swept by the experiment.
@@ -121,11 +120,12 @@ fn policy() -> ThresholdPolicy {
 
 /// Envelope that records its submit→verdict latency into a shared
 /// lock-free [`Histogram`] — a handful of relaxed atomic adds on the hot
-/// path, no allocation, no per-request slot array.
+/// path, no allocation, no per-request slot array, and no reference count
+/// (the histogram is leaked once per live run and borrowed for `'static`).
 struct TimedEnvelope {
     req: Request,
     started: Instant,
-    hist: Arc<Histogram>,
+    hist: &'static Histogram,
 }
 
 impl Envelope for TimedEnvelope {
@@ -167,21 +167,20 @@ fn live_run(
         Box::new(HashRouter),
         |_| StaticDriver::new(policy()),
     );
-    let hist = Arc::new(Histogram::new());
+    let hist: &'static Histogram = Box::leak(Box::new(Histogram::new()));
     let ingest = fleet.ingest();
     let chunk_len = n.div_ceil(PRODUCERS);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for chunk in trace.requests().chunks(chunk_len) {
             let mut producer = ingest.producer();
-            let hist = Arc::clone(&hist);
             scope.spawn(move || {
                 for frame in chunk.chunks(FRAME) {
                     let started = Instant::now();
                     producer.submit_frame(frame.iter().map(|req| TimedEnvelope {
                         req: *req,
                         started,
-                        hist: Arc::clone(&hist),
+                        hist,
                     }));
                 }
             });

@@ -211,6 +211,7 @@ impl FrequencySketch {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // SipHash maps are fine off the request path
 mod tests {
     use super::*;
 
@@ -429,6 +430,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // SipHash maps are fine off the request path
 mod proptests {
     use super::*;
     use proptest::prelude::*;

@@ -15,9 +15,8 @@
 //! scan can only churn the lowest segment.
 
 use darwin_ckpt::{CkptError, Dec, Enc};
-use darwin_trace::ObjectId;
+use darwin_trace::{IdMap, ObjectId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which eviction policy a store uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -47,19 +46,21 @@ impl EvictionKind {
 
 /// A byte-capacity object store.
 ///
-/// `insert` admits an object unconditionally, evicting as needed to fit;
-/// objects larger than the whole store are rejected (returned as not
-/// inserted). `touch` records an access for recency/frequency bookkeeping.
+/// `insert` admits an object unconditionally, evicting as needed to fit and
+/// reporting each victim to a callback; objects larger than the whole store
+/// are rejected (reported as not resident). `touch` records an access for
+/// recency/frequency bookkeeping.
 ///
 /// ```
 /// use darwin_cache::eviction::Store;
 ///
 /// let mut hoc = Store::lru(30);
-/// hoc.insert(1, 10);
-/// hoc.insert(2, 10);
-/// hoc.insert(3, 10);
+/// for id in 1..=3 {
+///     hoc.insert(id, 10, |_, _| {});
+/// }
 /// hoc.touch(1); // 1 is now most-recent; 2 is the LRU victim
-/// let evicted = hoc.insert(4, 10);
+/// let mut evicted = Vec::new();
+/// assert!(hoc.insert(4, 10, |id, size| evicted.push((id, size))));
 /// assert_eq!(evicted, vec![(2, 10)]);
 /// ```
 #[derive(Debug, Clone)]
@@ -67,7 +68,7 @@ pub struct Store {
     kind: EvictionKind,
     capacity: u64,
     used: u64,
-    map: HashMap<ObjectId, usize>,
+    map: IdMap<usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     /// Per-segment list heads (most-recent end) and tails (eviction end).
@@ -101,7 +102,7 @@ impl Store {
             kind,
             capacity: capacity_bytes,
             used: 0,
-            map: HashMap::new(),
+            map: IdMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             heads: vec![NIL; segs],
@@ -173,25 +174,26 @@ impl Store {
         true
     }
 
-    /// Inserts `id` with `size` bytes, evicting victims as needed. Returns
-    /// the evicted `(id, size)` pairs. If `size > capacity`, nothing is
-    /// inserted or evicted and the object is silently rejected (matching a
-    /// real HOC, which cannot hold an object bigger than itself).
+    /// Inserts `id` with `size` bytes, evicting victims as needed and
+    /// passing each evicted `(id, size)` to `on_evict`, in eviction order.
+    /// Returns whether `id` is resident afterwards. If `size > capacity`,
+    /// nothing is inserted or evicted and the object is silently rejected
+    /// (matching a real HOC, which cannot hold an object bigger than itself).
     ///
     /// Inserting an already-present object is treated as a touch.
-    pub fn insert(&mut self, id: ObjectId, size: u64) -> Vec<(ObjectId, u64)> {
+    pub fn insert(&mut self, id: ObjectId, size: u64, mut on_evict: impl FnMut(ObjectId, u64)) -> bool {
         if self.contains(id) {
             self.touch(id);
-            return Vec::new();
+            return true;
         }
         if size > self.capacity {
-            return Vec::new();
+            return false;
         }
         self.clock += 1;
-        let mut evicted = Vec::new();
         while self.used + size > self.capacity {
             let victim = self.pick_victim().expect("store is non-empty while over capacity");
-            evicted.push(self.remove_idx(victim));
+            let (victim, victim_size) = self.remove_idx(victim);
+            on_evict(victim, victim_size);
         }
         let node = Node { id, size, prev: NIL, next: NIL, segment: 0, hits: 1, last_touch: self.clock };
         let idx = match self.free.pop() {
@@ -210,7 +212,7 @@ impl Store {
         if matches!(self.kind, EvictionKind::SegmentedLru { .. }) {
             self.rebalance();
         }
-        evicted
+        true
     }
 
     /// Removes `id` if present, returning its size.
@@ -225,7 +227,8 @@ impl Store {
         self.pick_victim().map(|i| self.nodes[i].id)
     }
 
-    /// Iterator over resident object IDs (arbitrary order).
+    /// Iterator over resident object IDs, in an arbitrary order that differs
+    /// from store to store (see [`IdMap`]).
     pub fn ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.map.keys().copied()
     }
@@ -267,7 +270,7 @@ impl Store {
                 .map
                 .values()
                 .copied()
-                .min_by_key(|&i| (self.nodes[i].hits, self.nodes[i].last_touch)),
+                .min_by_key(|&i| (self.nodes[i].hits, self.nodes[i].last_touch, self.nodes[i].id)),
         }
     }
 
@@ -404,17 +407,27 @@ impl Store {
 }
 
 #[cfg(test)]
+impl Store {
+    /// [`Store::insert`] that collects the victims, for assertions.
+    fn insert_collect(&mut self, id: ObjectId, size: u64) -> Vec<(ObjectId, u64)> {
+        let mut evicted = Vec::new();
+        self.insert(id, size, |id, size| evicted.push((id, size)));
+        evicted
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut s = Store::lru(30);
-        s.insert(1, 10);
-        s.insert(2, 10);
-        s.insert(3, 10);
+        s.insert_collect(1, 10);
+        s.insert_collect(2, 10);
+        s.insert_collect(3, 10);
         s.touch(1); // order now (MRU→LRU): 1,3,2
-        let ev = s.insert(4, 10);
+        let ev = s.insert_collect(4, 10);
         assert_eq!(ev, vec![(2, 10)]);
         assert!(s.contains(1) && s.contains(3) && s.contains(4));
     }
@@ -422,24 +435,24 @@ mod tests {
     #[test]
     fn fifo_ignores_touches() {
         let mut s = Store::new(30, EvictionKind::Fifo);
-        s.insert(1, 10);
-        s.insert(2, 10);
-        s.insert(3, 10);
+        s.insert_collect(1, 10);
+        s.insert_collect(2, 10);
+        s.insert_collect(3, 10);
         s.touch(1);
-        let ev = s.insert(4, 10);
+        let ev = s.insert_collect(4, 10);
         assert_eq!(ev, vec![(1, 10)], "FIFO must evict oldest insert despite touch");
     }
 
     #[test]
     fn lfu_evicts_least_frequent() {
         let mut s = Store::new(30, EvictionKind::Lfu);
-        s.insert(1, 10);
-        s.insert(2, 10);
-        s.insert(3, 10);
+        s.insert_collect(1, 10);
+        s.insert_collect(2, 10);
+        s.insert_collect(3, 10);
         s.touch(1);
         s.touch(1);
         s.touch(3);
-        let ev = s.insert(4, 10);
+        let ev = s.insert_collect(4, 10);
         assert_eq!(ev, vec![(2, 10)]);
     }
 
@@ -447,7 +460,7 @@ mod tests {
     fn capacity_never_exceeded() {
         let mut s = Store::lru(100);
         for i in 0..1000u64 {
-            s.insert(i, 1 + (i % 37));
+            s.insert_collect(i, 1 + (i % 37));
             assert!(s.used_bytes() <= 100);
         }
     }
@@ -455,8 +468,8 @@ mod tests {
     #[test]
     fn oversized_object_rejected_without_eviction() {
         let mut s = Store::lru(50);
-        s.insert(1, 20);
-        let ev = s.insert(2, 60);
+        s.insert_collect(1, 20);
+        let ev = s.insert_collect(2, 60);
         assert!(ev.is_empty());
         assert!(!s.contains(2));
         assert!(s.contains(1), "rejection must not evict residents");
@@ -465,10 +478,10 @@ mod tests {
     #[test]
     fn multi_eviction_for_large_insert() {
         let mut s = Store::lru(30);
-        s.insert(1, 10);
-        s.insert(2, 10);
-        s.insert(3, 10);
-        let ev = s.insert(4, 25);
+        s.insert_collect(1, 10);
+        s.insert_collect(2, 10);
+        s.insert_collect(3, 10);
+        let ev = s.insert_collect(4, 25);
         assert_eq!(ev.len(), 3);
         assert_eq!(s.len(), 1);
         assert_eq!(s.used_bytes(), 25);
@@ -477,19 +490,19 @@ mod tests {
     #[test]
     fn reinsert_is_touch() {
         let mut s = Store::lru(30);
-        s.insert(1, 10);
-        s.insert(2, 10);
-        s.insert(3, 10);
-        s.insert(1, 10); // touch, not duplicate
+        s.insert_collect(1, 10);
+        s.insert_collect(2, 10);
+        s.insert_collect(3, 10);
+        s.insert_collect(1, 10); // touch, not duplicate
         assert_eq!(s.used_bytes(), 30);
-        let ev = s.insert(4, 10);
+        let ev = s.insert_collect(4, 10);
         assert_eq!(ev, vec![(2, 10)]);
     }
 
     #[test]
     fn remove_frees_space() {
         let mut s = Store::lru(30);
-        s.insert(1, 10);
+        s.insert_collect(1, 10);
         assert_eq!(s.remove(1), Some(10));
         assert_eq!(s.remove(1), None);
         assert_eq!(s.used_bytes(), 0);
@@ -499,23 +512,23 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut s = Store::lru(30);
-        s.insert(1, 10);
-        s.insert(2, 10);
+        s.insert_collect(1, 10);
+        s.insert_collect(2, 10);
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.used_bytes(), 0);
         assert_eq!(s.peek_victim(), None);
-        s.insert(3, 10);
+        s.insert_collect(3, 10);
         assert!(s.contains(3));
     }
 
     #[test]
     fn peek_victim_matches_next_eviction() {
         let mut s = Store::lru(20);
-        s.insert(1, 10);
-        s.insert(2, 10);
+        s.insert_collect(1, 10);
+        s.insert_collect(2, 10);
         let victim = s.peek_victim().unwrap();
-        let ev = s.insert(3, 10);
+        let ev = s.insert_collect(3, 10);
         assert_eq!(ev[0].0, victim);
     }
 
@@ -523,7 +536,7 @@ mod tests {
     fn slab_reuses_freed_nodes() {
         let mut s = Store::lru(10);
         for i in 0..10_000u64 {
-            s.insert(i, 10); // each insert evicts the previous one
+            s.insert_collect(i, 10); // each insert evicts the previous one
         }
         assert!(s.nodes.len() <= 2, "slab grew: {}", s.nodes.len());
     }
@@ -552,7 +565,7 @@ mod tests {
         ] {
             let mut s = Store::new(100, kind);
             for i in 0..40u64 {
-                s.insert(i, 1 + i % 23);
+                s.insert_collect(i, 1 + i % 23);
                 s.touch(i / 2);
             }
             let mut r = roundtrip(&s);
@@ -560,7 +573,11 @@ mod tests {
             assert_eq!(r.len(), s.len());
             // Same future behaviour: identical eviction sequences.
             for i in 100..140u64 {
-                assert_eq!(s.insert(i, 7), r.insert(i, 7), "kind {kind:?} diverged at {i}");
+                assert_eq!(
+                    s.insert_collect(i, 7),
+                    r.insert_collect(i, 7),
+                    "kind {kind:?} diverged at {i}"
+                );
                 assert_eq!(s.touch(i % 50), r.touch(i % 50));
             }
         }
@@ -569,8 +586,8 @@ mod tests {
     #[test]
     fn codec_rejects_corrupt_bodies() {
         let mut s = Store::lru(100);
-        s.insert(1, 10);
-        s.insert(2, 20);
+        s.insert_collect(1, 10);
+        s.insert_collect(2, 20);
         let mut enc = Enc::new();
         s.encode_state(&mut enc);
         let bytes = enc.into_bytes();
@@ -597,14 +614,14 @@ mod tests {
     #[test]
     fn segmented_inserts_land_in_segment_zero() {
         let mut s = s4(400);
-        s.insert(1, 10);
+        s.insert_collect(1, 10);
         assert_eq!(s.segment_of(1), Some(0));
     }
 
     #[test]
     fn segmented_hits_promote_up_to_top() {
         let mut s = s4(400);
-        s.insert(1, 10);
+        s.insert_collect(1, 10);
         s.touch(1);
         assert_eq!(s.segment_of(1), Some(1));
         s.touch(1);
@@ -620,12 +637,12 @@ mod tests {
         // one-hit objects through: the working set must survive.
         let mut s = s4(400);
         for id in 0..4u64 {
-            s.insert(id, 50);
+            s.insert_collect(id, 50);
             s.touch(id);
             s.touch(id); // segment 2
         }
         for scan in 100..200u64 {
-            s.insert(scan, 50);
+            s.insert_collect(scan, 50);
         }
         for id in 0..4u64 {
             assert!(s.contains(id), "working-set object {id} evicted by scan");
@@ -637,12 +654,12 @@ mod tests {
         // The contrast case for the test above.
         let mut s = Store::lru(400);
         for id in 0..4u64 {
-            s.insert(id, 50);
+            s.insert_collect(id, 50);
             s.touch(id);
             s.touch(id);
         }
         for scan in 100..200u64 {
-            s.insert(scan, 50);
+            s.insert_collect(scan, 50);
         }
         assert!((0..4u64).all(|id| !s.contains(id)), "LRU should have churned everything");
     }
@@ -652,7 +669,7 @@ mod tests {
         let mut s = s4(100); // budget 25 per segment
                              // Fill with promoted objects.
         for id in 0..4u64 {
-            s.insert(id, 25);
+            s.insert_collect(id, 25);
             s.touch(id);
             s.touch(id);
             s.touch(id);
@@ -661,7 +678,7 @@ mod tests {
         // Keep inserting; capacity must hold and evictions must occur.
         let mut evicted = 0;
         for id in 10..20u64 {
-            evicted += s.insert(id, 25).len();
+            evicted += s.insert_collect(id, 25).len();
             assert!(s.used_bytes() <= 100);
         }
         assert!(evicted > 0);
@@ -677,8 +694,8 @@ mod tests {
             if is_touch {
                 assert_eq!(a.touch(id), b.touch(id));
             } else {
-                a.insert(id, 10);
-                b.insert(id, 10);
+                a.insert_collect(id, 10);
+                b.insert_collect(id, 10);
             }
             let mut ia: Vec<u64> = a.ids().collect();
             let mut ib: Vec<u64> = b.ids().collect();
@@ -693,19 +710,20 @@ mod tests {
         // Object bigger than one segment's budget but under capacity must
         // still be storable without breaking the capacity invariant.
         let mut s = s4(100); // budget 25
-        s.insert(1, 60);
+        s.insert_collect(1, 60);
         assert!(s.contains(1));
         assert!(s.used_bytes() <= 100);
-        s.insert(2, 30);
+        s.insert_collect(2, 30);
         assert!(s.used_bytes() <= 100);
         for id in 3..10u64 {
-            s.insert(id, 20);
+            s.insert_collect(id, 20);
             assert!(s.used_bytes() <= 100, "capacity exceeded at id {id}");
         }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // SipHash maps are fine off the request path
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -753,7 +771,7 @@ mod proptests {
                 if is_touch {
                     prop_assert_eq!(s.touch(id), r.touch(id));
                 } else {
-                    s.insert(id, size);
+                    s.insert_collect(id, size);
                     r.insert(id, size);
                 }
                 let mut a: Vec<u64> = s.ids().collect();
@@ -816,7 +834,7 @@ mod proptests {
                         used -= sizes[&victim];
                         expected.push((victim, sizes[&victim]));
                     }
-                    prop_assert_eq!(s.insert(id, size), expected, "eviction order diverged");
+                    prop_assert_eq!(s.insert_collect(id, size), expected, "eviction order diverged");
                     order.insert(0, id);
                     stats.insert(id, (1, clock));
                     used += size;
@@ -835,7 +853,7 @@ mod proptests {
                 // Re-inserting a resident object is a touch: the original
                 // size is retained, so only record the size that "won".
                 let was_present = s.contains(id);
-                s.insert(id, size);
+                s.insert_collect(id, size);
                 if !was_present {
                     sizes.insert(id, size);
                 }
@@ -854,13 +872,13 @@ mod proptests {
                 if is_touch {
                     prop_assert_eq!(s.touch(id), resident.contains(&id));
                 } else if !resident.contains(&id) && size <= 80 {
-                    let evicted = s.insert(id, size);
+                    let evicted = s.insert_collect(id, size);
                     resident.insert(id);
                     for (v, _) in evicted {
                         resident.remove(&v);
                     }
                 } else {
-                    s.insert(id, size);
+                    s.insert_collect(id, size);
                 }
                 prop_assert!(s.used_bytes() <= 80);
                 let mut a: Vec<u64> = s.ids().collect();

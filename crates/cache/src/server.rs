@@ -12,9 +12,9 @@ use crate::eviction::{EvictionKind, Store};
 use crate::metrics::CacheMetrics;
 use crate::policy::{AdmissionPolicy, ObjectView, ThresholdPolicy};
 use darwin_ckpt::{CkptError, Dec, Enc};
-use darwin_trace::{ObjectId, Request};
+use darwin_trace::{IdMap, ObjectId, Request};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Where a request was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ impl RequestOutcome {
 /// How the server tracks per-object request counts for the frequency knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FrequencyMode {
-    /// Exact `HashMap` counting: deterministic, memory ∝ unique objects.
+    /// Exact per-object counting: deterministic, memory ∝ unique objects.
     /// The simulator default (matches offline expert evaluation).
     Exact,
     /// TinyLFU-style counting sketch: bounded memory, slight over-counting,
@@ -98,32 +98,104 @@ impl CacheConfig {
     }
 }
 
-/// Exact or sketched frequency tracker.
+/// Per-object request metadata behind the frequency and recency knobs.
 #[derive(Debug)]
-enum FreqTracker {
-    Exact(HashMap<ObjectId, u32>),
-    Sketch(FrequencySketch),
+enum Tracker {
+    /// One entry per object, `(request count, last request µs)`, so one
+    /// probe yields both knobs.
+    Exact(IdMap<(u32, u64)>),
+    /// Sketched counts, plus exact last-request times.
+    Sketch { counts: FrequencySketch, last_us: IdMap<u64> },
 }
 
-impl FreqTracker {
+impl Tracker {
     fn new(mode: FrequencyMode) -> Self {
         match mode {
-            FrequencyMode::Exact => FreqTracker::Exact(HashMap::new()),
-            FrequencyMode::Sketch { expected_objects } => {
-                FreqTracker::Sketch(FrequencySketch::with_capacity(expected_objects))
-            }
+            FrequencyMode::Exact => Tracker::Exact(IdMap::default()),
+            FrequencyMode::Sketch { expected_objects } => Tracker::Sketch {
+                counts: FrequencySketch::with_capacity(expected_objects),
+                last_us: IdMap::default(),
+            },
         }
     }
 
-    /// Records a request, returning the count including this request.
-    fn increment(&mut self, id: ObjectId) -> u32 {
+    /// Records a request for `id` at `now_us`. Returns the count including
+    /// this request and the gap since the previous one (`None` on the first
+    /// sighting).
+    fn observe(&mut self, id: ObjectId, now_us: u64) -> (u32, Option<u64>) {
         match self {
-            FreqTracker::Exact(map) => {
-                let c = map.entry(id).or_insert(0);
-                *c = c.saturating_add(1);
-                *c
+            Tracker::Exact(map) => match map.entry(id) {
+                Entry::Occupied(mut e) => {
+                    let (count, last) = e.get_mut();
+                    *count = count.saturating_add(1);
+                    let gap = now_us.saturating_sub(*last);
+                    *last = now_us;
+                    (*count, Some(gap))
+                }
+                Entry::Vacant(e) => {
+                    e.insert((1, now_us));
+                    (1, None)
+                }
+            },
+            Tracker::Sketch { counts, last_us } => (
+                counts.increment(id),
+                last_us.insert(id, now_us).map(|prev| now_us.saturating_sub(prev)),
+            ),
+        }
+    }
+
+    /// Writes the counts (tagged by mode) and then the last-request times,
+    /// each sorted by id: the layout of the two maps this tracker replaced.
+    fn encode_state(&self, enc: &mut Enc) {
+        let last: Vec<(ObjectId, u64)> = match self {
+            Tracker::Exact(map) => {
+                let mut entries: Vec<(ObjectId, u32, u64)> =
+                    map.iter().map(|(&id, &(c, ts))| (id, c, ts)).collect();
+                entries.sort_unstable();
+                enc.u8(0);
+                enc.seq(&entries, |e, &(id, c, _)| {
+                    e.u64(id);
+                    e.u32(c);
+                });
+                entries.into_iter().map(|(id, _, ts)| (id, ts)).collect()
             }
-            FreqTracker::Sketch(s) => s.increment(id),
+            Tracker::Sketch { counts, last_us } => {
+                enc.u8(1);
+                counts.encode_state(enc);
+                let mut last: Vec<(ObjectId, u64)> = last_us.iter().map(|(&id, &ts)| (id, ts)).collect();
+                last.sort_unstable();
+                last
+            }
+        };
+        enc.seq(&last, |e, &(id, ts)| {
+            e.u64(id);
+            e.u64(ts);
+        });
+    }
+
+    /// Reads what [`Tracker::encode_state`] wrote under `mode`. In exact
+    /// mode the count and time lists must name the same objects in the
+    /// same order.
+    fn decode_state(dec: &mut Dec<'_>, mode: FrequencyMode) -> Result<Self, CkptError> {
+        match (dec.u8()?, mode) {
+            (0, FrequencyMode::Exact) => {
+                let counts = dec.seq(|d| Ok((d.u64()?, d.u32()?)))?;
+                let last = dec.seq(|d| Ok((d.u64()?, d.u64()?)))?;
+                if counts.len() != last.len() || counts.iter().zip(&last).any(|(c, l)| c.0 != l.0) {
+                    return Err(CkptError::Malformed("frequency and recency entries disagree".into()));
+                }
+                Ok(Tracker::Exact(
+                    counts.into_iter().zip(last).map(|((id, c), (_, ts))| (id, (c, ts))).collect(),
+                ))
+            }
+            (1, FrequencyMode::Sketch { .. }) => {
+                let counts = FrequencySketch::decode_state(dec)?;
+                let last_us = dec.seq(|d| Ok((d.u64()?, d.u64()?)))?.into_iter().collect();
+                Ok(Tracker::Sketch { counts, last_us })
+            }
+            (t, _) => {
+                Err(CkptError::Malformed(format!("frequency tracker tag {t} does not match config")))
+            }
         }
     }
 }
@@ -134,10 +206,9 @@ pub struct CacheServer {
     hoc: Store,
     dc: Store,
     policy: Box<dyn AdmissionPolicy>,
-    freq: FreqTracker,
-    /// Last request timestamp per object (for the recency knob and per-object
-    /// inter-arrival bookkeeping).
-    last_access: HashMap<ObjectId, u64>,
+    /// Request count and last request time per object (the frequency and
+    /// recency knobs).
+    tracker: Tracker,
     /// One-hit-wonder filter in front of the DC.
     dc_filter: BloomFilter,
     metrics: CacheMetrics,
@@ -149,15 +220,14 @@ impl CacheServer {
     pub fn new(config: CacheConfig) -> Self {
         let hoc = Store::new(config.hoc_bytes, config.hoc_eviction);
         let dc = Store::new(config.dc_bytes, config.dc_eviction);
-        let freq = FreqTracker::new(config.frequency);
+        let tracker = Tracker::new(config.frequency);
         let dc_filter = BloomFilter::with_capacity(config.expected_unique_objects);
         Self {
             config,
             hoc,
             dc,
             policy: Box::new(ThresholdPolicy::new(2, 100 * 1024)),
-            freq,
-            last_access: HashMap::new(),
+            tracker,
             dc_filter,
             metrics: CacheMetrics::default(),
         }
@@ -198,11 +268,7 @@ impl CacheServer {
     /// Processes one request through the two-level hierarchy, returning where
     /// it was served from.
     pub fn process(&mut self, req: &Request) -> RequestOutcome {
-        let frequency = self.freq.increment(req.id);
-        let recency_us = self
-            .last_access
-            .insert(req.id, req.timestamp_us)
-            .map(|prev| req.timestamp_us.saturating_sub(prev));
+        let (frequency, recency_us) = self.tracker.observe(req.id, req.timestamp_us);
 
         self.metrics.requests += 1;
         self.metrics.bytes_total += req.size;
@@ -224,12 +290,11 @@ impl CacheServer {
             self.metrics.bytes_origin += req.size;
             // DC admission: only on a repeat request (Bloom-filtered).
             if self.dc_filter.insert(req.id) {
-                let evicted = self.dc.insert(req.id, req.size);
-                if self.dc.contains(req.id) {
+                let evictions = &mut self.metrics.dc_evictions;
+                if self.dc.insert(req.id, req.size, |_, _| *evictions += 1) {
                     self.metrics.dc_writes += 1;
                     self.metrics.dc_write_bytes += req.size;
                 }
-                self.metrics.dc_evictions += evicted.len() as u64;
             }
             RequestOutcome::OriginFetch
         };
@@ -238,12 +303,7 @@ impl CacheServer {
         let view =
             ObjectView { id: req.id, size: req.size, frequency, recency_us, now_us: req.timestamp_us };
         if self.policy.admit(&view) {
-            let evicted = self.hoc.insert(req.id, req.size);
-            if self.hoc.contains(req.id) {
-                self.metrics.hoc_writes += 1;
-                self.metrics.hoc_write_bytes += req.size;
-            }
-            self.metrics.hoc_evictions += evicted.len() as u64;
+            promote(&mut self.hoc, &mut self.metrics, req);
         }
         outcome
     }
@@ -273,28 +333,7 @@ impl CacheServer {
         enc.bytes(&config_fingerprint(&self.config));
         self.hoc.encode_state(&mut enc);
         self.dc.encode_state(&mut enc);
-        match &self.freq {
-            FreqTracker::Exact(map) => {
-                enc.u8(0);
-                let mut entries: Vec<(ObjectId, u32)> = map.iter().map(|(&id, &c)| (id, c)).collect();
-                entries.sort_unstable();
-                enc.seq(&entries, |e, &(id, c)| {
-                    e.u64(id);
-                    e.u32(c);
-                });
-            }
-            FreqTracker::Sketch(s) => {
-                enc.u8(1);
-                s.encode_state(&mut enc);
-            }
-        }
-        let mut last: Vec<(ObjectId, u64)> =
-            self.last_access.iter().map(|(&id, &ts)| (id, ts)).collect();
-        last.sort_unstable();
-        enc.seq(&last, |e, &(id, ts)| {
-            e.u64(id);
-            e.u64(ts);
-        });
+        self.tracker.encode_state(&mut enc);
         self.dc_filter.encode_state(&mut enc);
         self.metrics.encode_state(&mut enc);
         enc.into_bytes()
@@ -318,22 +357,7 @@ impl CacheServer {
         if hoc.capacity() != config.hoc_bytes || dc.capacity() != config.dc_bytes {
             return Err(CkptError::Malformed("store capacity does not match config".into()));
         }
-        let freq = match (dec.u8()?, config.frequency) {
-            (0, FrequencyMode::Exact) => {
-                let entries = dec.seq(|d| Ok((d.u64()?, d.u32()?)))?;
-                FreqTracker::Exact(entries.into_iter().collect())
-            }
-            (1, FrequencyMode::Sketch { .. }) => {
-                FreqTracker::Sketch(FrequencySketch::decode_state(&mut dec)?)
-            }
-            (t, _) => {
-                return Err(CkptError::Malformed(format!(
-                    "frequency tracker tag {t} does not match config"
-                )))
-            }
-        };
-        let last_access: HashMap<ObjectId, u64> =
-            dec.seq(|d| Ok((d.u64()?, d.u64()?)))?.into_iter().collect();
+        let tracker = Tracker::decode_state(&mut dec, config.frequency)?;
         let dc_filter = BloomFilter::decode_state(&mut dec)?;
         let metrics = CacheMetrics::decode_state(&mut dec)?;
         dec.finish()?;
@@ -342,8 +366,7 @@ impl CacheServer {
             hoc,
             dc,
             policy: Box::new(ThresholdPolicy::new(2, 100 * 1024)),
-            freq,
-            last_access,
+            tracker,
             dc_filter,
             metrics,
         })
@@ -380,6 +403,16 @@ fn config_fingerprint(cfg: &CacheConfig) -> Vec<u8> {
     enc.into_bytes()
 }
 
+/// Admits `req` into the HOC, counting the write (if it fits) and every
+/// eviction it forces.
+fn promote(hoc: &mut Store, metrics: &mut CacheMetrics, req: &Request) {
+    let evictions = &mut metrics.hoc_evictions;
+    if hoc.insert(req.id, req.size, |_, _| *evictions += 1) {
+        metrics.hoc_writes += 1;
+        metrics.hoc_write_bytes += req.size;
+    }
+}
+
 /// A standalone HOC-only simulator.
 ///
 /// Shadow caches (HillClimbing baseline) and offline expert evaluation need
@@ -389,8 +422,7 @@ fn config_fingerprint(cfg: &CacheConfig) -> Vec<u8> {
 pub struct HocSim {
     hoc: Store,
     policy: ThresholdPolicy,
-    freq: FreqTracker,
-    last_access: HashMap<ObjectId, u64>,
+    tracker: Tracker,
     metrics: CacheMetrics,
 }
 
@@ -400,8 +432,7 @@ impl HocSim {
         Self {
             hoc: Store::new(hoc_bytes, eviction),
             policy,
-            freq: FreqTracker::new(FrequencyMode::Exact),
-            last_access: HashMap::new(),
+            tracker: Tracker::new(FrequencyMode::Exact),
             metrics: CacheMetrics::default(),
         }
     }
@@ -430,11 +461,7 @@ impl HocSim {
 
     /// Processes one request; returns true on a HOC hit.
     pub fn process(&mut self, req: &Request) -> bool {
-        let frequency = self.freq.increment(req.id);
-        let recency_us = self
-            .last_access
-            .insert(req.id, req.timestamp_us)
-            .map(|prev| req.timestamp_us.saturating_sub(prev));
+        let (frequency, recency_us) = self.tracker.observe(req.id, req.timestamp_us);
 
         self.metrics.requests += 1;
         self.metrics.bytes_total += req.size;
@@ -451,12 +478,7 @@ impl HocSim {
             ObjectView { id: req.id, size: req.size, frequency, recency_us, now_us: req.timestamp_us };
         let mut policy = self.policy;
         if policy.admit(&view) {
-            let evicted = self.hoc.insert(req.id, req.size);
-            if self.hoc.contains(req.id) {
-                self.metrics.hoc_writes += 1;
-                self.metrics.hoc_write_bytes += req.size;
-            }
-            self.metrics.hoc_evictions += evicted.len() as u64;
+            promote(&mut self.hoc, &mut self.metrics, req);
         }
         false
     }
@@ -604,6 +626,29 @@ mod tests {
     }
 
     #[test]
+    fn server_recency_knob_requires_recent_rerequest_in_both_modes() {
+        for frequency in [FrequencyMode::Exact, FrequencyMode::Sketch { expected_objects: 1024 }] {
+            let mut s = CacheServer::new(CacheConfig { frequency, ..CacheConfig::small_test() });
+            s.set_policy(ThresholdPolicy::with_recency(0, 10_000, 100));
+            // First sighting has no recency ⇒ no promotion.
+            assert_eq!(s.process(&req(1, 10, 0)), RequestOutcome::OriginFetch, "{frequency:?}");
+            // Gap 500 > r=100 ⇒ not promoted (the DC admits it: 2nd request).
+            assert_eq!(s.process(&req(1, 10, 500)), RequestOutcome::OriginFetch, "{frequency:?}");
+            assert_eq!(s.metrics().hoc_writes, 0, "{frequency:?}");
+            // Another object in between must not disturb object 1's gap.
+            s.process(&req(2, 10, 520));
+            // Gap 50 ≤ 100 (to the previous request, not the first) ⇒ promoted.
+            assert_eq!(s.process(&req(1, 10, 550)), RequestOutcome::DcHit, "{frequency:?}");
+            assert_eq!(s.metrics().hoc_writes, 1, "{frequency:?}");
+            assert_eq!(s.process(&req(1, 10, 560)), RequestOutcome::HocHit, "{frequency:?}");
+            // A gap of exactly r still admits.
+            s.process(&req(3, 10, 1_000));
+            s.process(&req(3, 10, 1_100));
+            assert_eq!(s.metrics().hoc_writes, 2, "{frequency:?}");
+        }
+    }
+
+    #[test]
     fn empty_trace_yields_zero_window() {
         let mut s = CacheServer::new(CacheConfig::small_test());
         let m = s.process_trace(&Trace::default());
@@ -657,6 +702,23 @@ mod tests {
     }
 
     #[test]
+    fn exact_tracker_rejects_disagreeing_lists() {
+        let mut enc = Enc::new();
+        enc.u8(0);
+        enc.seq(&[(1u64, 3u32)], |e, &(id, c)| {
+            e.u64(id);
+            e.u32(c);
+        });
+        enc.seq(&[(2u64, 9u64)], |e, &(id, ts)| {
+            e.u64(id);
+            e.u64(ts);
+        });
+        let bytes = enc.into_bytes();
+        let decoded = Tracker::decode_state(&mut Dec::new(&bytes), FrequencyMode::Exact);
+        assert!(matches!(decoded, Err(CkptError::Malformed(_))));
+    }
+
+    #[test]
     fn restore_rejects_mismatched_config() {
         let mut s = CacheServer::new(CacheConfig::small_test());
         s.process(&req(1, 100, 0));
@@ -675,6 +737,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // SipHash maps are fine off the request path
 mod proptests {
     use super::*;
     use proptest::prelude::*;

@@ -14,8 +14,8 @@
 use crate::sizedist::SizeDistribution;
 use crate::vector::FeatureVector;
 use darwin_ckpt::{CkptError, Dec, Enc};
-use darwin_trace::{ObjectId, Request, Trace};
-use std::collections::{HashMap, VecDeque};
+use darwin_trace::{IdMap, ObjectId, Request, Trace};
+use std::collections::VecDeque;
 
 /// Streaming extractor of Darwin's trace features.
 #[derive(Debug, Clone)]
@@ -23,7 +23,7 @@ pub struct FeatureExtractor {
     n_iat: usize,
     m_sd: usize,
     /// Per-object ring of `(timestamp_us, cum_bytes_before_access)`.
-    history: HashMap<ObjectId, VecDeque<(u64, u64)>>,
+    history: IdMap<VecDeque<(u64, u64)>>,
     /// Running byte counter over the whole stream.
     cum_bytes: u64,
     iat_sum: Vec<f64>,
@@ -43,7 +43,7 @@ impl FeatureExtractor {
         Self {
             n_iat,
             m_sd,
-            history: HashMap::new(),
+            history: IdMap::default(),
             cum_bytes: 0,
             iat_sum: vec![0.0; n_iat],
             iat_cnt: vec![0; n_iat],
@@ -183,7 +183,7 @@ impl FeatureExtractor {
             let ring = d.seq(|d| Ok((d.u64()?, d.u64()?)))?;
             Ok((id, ring))
         })?;
-        let mut history: HashMap<ObjectId, VecDeque<(u64, u64)>> = HashMap::new();
+        let mut history: IdMap<VecDeque<(u64, u64)>> = IdMap::default();
         for (id, ring) in entries {
             if ring.len() > cap {
                 return Err(CkptError::Malformed(format!("ring for {id} exceeds capacity")));
@@ -227,6 +227,7 @@ impl FeatureExtractor {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // SipHash maps are fine off the request path
 mod tests {
     use super::*;
     use darwin_trace::Request;

@@ -17,9 +17,8 @@
 //! the object's previous position.
 
 use crate::vector::FeatureVector;
-use darwin_trace::{ObjectId, Trace};
+use darwin_trace::{IdMap, Trace};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Fenwick (binary indexed) tree over u64 byte counts.
 #[derive(Debug, Clone)]
@@ -101,7 +100,7 @@ impl FootprintDescriptor {
         assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must be ascending");
         let n = trace.len();
         let mut fen = Fenwick::new(n);
-        let mut last_pos: HashMap<ObjectId, (usize, u64)> = HashMap::new();
+        let mut last_pos: IdMap<(usize, u64)> = IdMap::default();
         let nb = edges.len() + 1;
         let mut request_counts = vec![0u64; nb];
         let mut byte_counts = vec![0u64; nb];

@@ -31,6 +31,7 @@
 pub mod class;
 pub mod dynamics;
 pub mod generator;
+pub mod idmap;
 pub mod io;
 pub mod request;
 pub mod scale;
@@ -42,6 +43,7 @@ pub use dynamics::{
     compress_window, drift_popularity, flash_crowd, modulate_rate, popularity_inversion,
 };
 pub use generator::{MixSpec, TraceGenerator};
+pub use idmap::{IdHash, IdMap};
 pub use io::{read_trace, read_trace_file, write_trace, write_trace_file, TraceReadError};
 pub use request::{ObjectId, Request, Trace};
 pub use scale::{concat_traces, scale_trace};
