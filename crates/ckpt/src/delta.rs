@@ -22,12 +22,10 @@
 //! fail loudly but never silently mis-restore. Unknown op tags, truncated
 //! bodies and bit flips surface as [`CkptError`]s from the sealed-frame
 //! layer or as `Malformed` from op decoding; the hostile-corpus proptests
-//! (`darwin-rebalance/tests/codec_props.rs`) pin all three.
+//! (`darwin-shard/tests/ship_corpus.rs`) pin all three.
 //!
-//! The codec lives here (not in `darwin-rebalance`, where it originated)
-//! because both the rebalance handoff path and the shard replication layer
-//! need it, and `darwin-shard` sits below `darwin-rebalance` in the crate
-//! graph. `darwin_rebalance::delta` re-exports this module unchanged.
+//! Both of a shard's shipping paths — standby replication and resize
+//! handoff — carry this frame as their delta payload.
 
 use crate::{crc64, open, seal, CkptError, Dec, Enc};
 

@@ -34,19 +34,13 @@
 //! (hash maps are serialized sorted by key), so identical state always
 //! seals to identical frames — the property the roundtrip proptests pin.
 //!
-//! Two higher-level frame codecs live on top of the envelope, here rather
-//! than in `darwin-rebalance` so that `darwin-shard` (below rebalance in
-//! the crate graph) can use them too:
-//!
-//! * [`delta`] — [`DeltaFrame`](delta::DeltaFrame): an rsync-style block
-//!   diff between two byte images, the O(churn) payload of shard handoffs
-//!   and standby replication.
-//! * [`replica`] — [`ReplicaFrame`](replica::ReplicaFrame): the role-tagged
-//!   envelope a primary shard ships its checkpoint cuts to a hot standby
-//!   in (full image to seed, delta thereafter).
+//! On top of the envelope, [`delta`] holds
+//! [`DeltaFrame`](delta::DeltaFrame): an rsync-style block diff between two
+//! byte images, the O(churn) payload a shard's checkpoint ships in to a hot
+//! standby or across a resize. The shipping envelope itself
+//! (`darwin_shard::ShipFrame`) lives beside the checkpoint it carries.
 
 pub mod delta;
-pub mod replica;
 
 use std::fmt;
 

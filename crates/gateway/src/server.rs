@@ -368,7 +368,7 @@ impl<D: AdmissionDriver + Send + 'static> Gateway<D> {
     /// `dead_shards()` say how bumpy the ride was.
     pub fn finish(mut self) -> Result<ElasticReport<D>, GatewayError> {
         let panicked = self.join_workers()?;
-        let report = self.shared.fleet.finish_live(self.final_cut);
+        let report = self.shared.fleet.finish(self.final_cut);
         if panicked > 0 {
             return Err(GatewayError::ConnectionPanicked(panicked));
         }

@@ -17,22 +17,24 @@
 //! submission index *within* that generation — exactly as it would to a
 //! freshly booted [`ShardedFleet`].
 //!
-//! A resize `N → M` drains the serving generation through the handoff state
-//! machine, cuts every shard's final [`ShardCheckpoint`] at its
-//! end-of-stream request-sequence boundary, ships each *surviving* shard's
-//! cut to the successor generation in a [`TransferFrame`] (delta-compressed
-//! against the shard's last periodic checkpoint when one exists), and boots
+//! A resize `N → M` walks every shard of the serving generation through the
+//! one-way phase order `Serving → Draining → Transferring → Retired` (each
+//! [`ShardCell`] refuses any other step), cuts every shard's final
+//! [`ShardCheckpoint`] at its end-of-stream request-sequence boundary,
+//! [ships](darwin_shard::ship()) each *surviving* shard's cut to the
+//! successor generation as a [`ShipPurpose::Handoff`] envelope
+//! (delta-compressed against the shard's last periodic checkpoint when one
+//! exists), and boots
 //! generation `g+1` with those frames as warm seeds. Keyspace slices that
 //! *move* between shards arrive cold by design: the ring bounds them to
 //! `|M−N|/max(N,M)` of the keyspace, which is exactly the bounded
 //! post-resize hit-ratio dip the benchmark measures.
 
-use crate::handoff::{HandoffError, HandoffTracker, TransferFrame, TransferPayload};
-use crate::DeltaFrame;
 use darwin_cache::{CacheConfig, CacheMetrics};
 use darwin_shard::{
-    CheckpointSlot, Envelope, EventKind, FleetBoot, FleetConfig, FleetMetrics, FleetProducer,
-    GenerationSummary, MetricsHandle, Router, ShardCheckpoint, ShardOutcome, ShardPhase, ShardedFleet,
+    ship, CheckpointSlot, Envelope, EventKind, FleetBoot, FleetConfig, FleetMetrics, FleetProducer,
+    GenerationSummary, MetricsHandle, Router, ShardCell, ShardCheckpoint, ShardOutcome, ShardPhase,
+    ShardedFleet, ShipError, ShipPurpose,
 };
 use darwin_testbed::AdmissionDriver;
 use darwin_trace::Request;
@@ -277,13 +279,13 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
     }
 
     /// Resizes the fleet to `to_shards` shards: drains the serving
-    /// generation through the handoff state machine, ships every surviving
-    /// shard's final cut as a [`TransferFrame`] (delta-compressed when a
-    /// pre-copied base exists) and boots the next generation warm from the
-    /// resolved frames. Submitters blocked on the generation lock resume
-    /// against the new generation; nothing is dropped or answered
-    /// `Unavailable` by the resize itself.
-    pub fn resize(&self, to_shards: usize) -> Result<Vec<TransferStat>, HandoffError> {
+    /// generation through the handoff phase order, ships every surviving
+    /// shard's final cut as a [`ShipPurpose::Handoff`] envelope
+    /// (delta-compressed when a pre-copied base exists) and boots the next
+    /// generation warm from the resolved frames. Submitters blocked on the
+    /// generation lock resume against the new generation; nothing is
+    /// dropped or answered `Unavailable` by the resize itself.
+    pub fn resize(&self, to_shards: usize) -> Result<Vec<TransferStat>, ShipError> {
         assert!(to_shards > 0, "fleet needs at least one shard");
         let mut st = self.state.write().expect("elastic state poisoned");
         let from_shards = st.shards;
@@ -293,26 +295,19 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         let slots = fleet.checkpoint_slots();
         let old_handle = st.handle.clone();
 
-        let mut tracker = HandoffTracker::new(from_shards);
-        // Serving → Draining happens inside finish_with_cut (the fleet
-        // flips its cells); mirror it in the tracker so the order is
-        // machine-checked end to end.
-        for s in 0..from_shards {
-            tracker.advance(s, ShardPhase::Draining).map_err(state_err)?;
-        }
-        let report = fleet.finish_with_cut(to_shards);
-        drop(report); // drivers retire with their generation
+        // Serving → Draining happens inside finish_with_cut; the drivers
+        // retire with their generation.
+        drop(fleet.finish_with_cut(to_shards));
 
         let survivors = from_shards.min(to_shards);
         let mut seeds: Vec<Option<Vec<u8>>> = vec![None; to_shards];
         let mut transfers = Vec::with_capacity(survivors);
-        for (s, slot) in slots.iter().enumerate() {
-            tracker.advance(s, ShardPhase::Transferring).map_err(state_err)?;
-            old_handle.cells()[s].set_phase(ShardPhase::Transferring);
+        for (s, (slot, cell)) in slots.iter().zip(old_handle.cells()).enumerate() {
+            advance(cell, s, ShardPhase::Transferring)?;
             if s < survivors {
                 // A shard with nothing to ship (it died before its first
                 // cut) leaves its successor to boot cold.
-                if let Some((stat, resolved)) = ship(slot, s, from_gen, to_gen)? {
+                if let Some((stat, resolved)) = hand_off(slot, s, from_gen, to_gen)? {
                     transfers.push(stat);
                     seeds[s] = Some(resolved);
                 }
@@ -321,10 +316,8 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
                 // its spill must not resurrect under a later warm boot.
                 slot.clear_disk();
             }
-            tracker.advance(s, ShardPhase::Retired).map_err(state_err)?;
-            old_handle.cells()[s].set_phase(ShardPhase::Retired);
+            advance(cell, s, ShardPhase::Retired)?;
         }
-        debug_assert!(tracker.all_at(ShardPhase::Retired));
 
         // Archive the drained generation (exact: the fleet is finished).
         let snap = old_handle.snapshot();
@@ -358,13 +351,13 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
         Ok(transfers)
     }
 
-    /// Drains the serving generation and closes the book, by reference —
-    /// the seam for callers that hold the fleet behind an `Arc` (the
-    /// gateway's shared state) and cannot move it out. With `final_cut`
+    /// Drains the serving generation and closes the book. With `final_cut`
     /// set, every shard cuts a final checkpoint into the spill directory
-    /// first — the artifact a successor process warm-boots from. Panics on
-    /// a second call: the fleet serves (and finishes) exactly once.
-    pub fn finish_live(&self, final_cut: bool) -> ElasticReport<D> {
+    /// first — the artifact a successor process warm-boots from. Takes
+    /// `&self`, so a fleet shared behind an `Arc` (the gateway's) finishes
+    /// the same way. Panics on a second call: the fleet serves (and
+    /// finishes) exactly once.
+    pub fn finish(&self, final_cut: bool) -> ElasticReport<D> {
         let mut st = self.state.write().expect("elastic state poisoned");
         let fleet = st.fleet.take().expect("fleet serving");
         let report = if final_cut { fleet.finish_with_cut(st.shards) } else { fleet.finish() };
@@ -382,13 +375,6 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticFleet<D, E> {
             transfers,
             submitted: self.submitted.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drains the serving generation and closes the book. With `final_cut`
-    /// set, every shard cuts a final checkpoint into the spill directory
-    /// first — the artifact a successor process warm-boots from.
-    pub fn finish(self, final_cut: bool) -> ElasticReport<D> {
-        self.finish_live(final_cut)
     }
 }
 
@@ -425,64 +411,49 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ElasticProducer<'_, D, E>
 }
 
 /// Ships shard `s`'s final cut from generation `from_gen` to `to_gen` as a
-/// [`TransferFrame`] and resolves it on the receiving side. Returns the
-/// transfer's ledger row and the resolved frame, or `None` when the slot
-/// holds no checkpoint at all.
-fn ship(
+/// [`ShipPurpose::Handoff`] envelope and resolves it on the receiving side.
+/// Returns the transfer's ledger row and the resolved frame, or `None` when
+/// the slot holds no frame that decodes as this shard's checkpoint.
+fn hand_off(
     slot: &CheckpointSlot,
     s: usize,
     from_gen: u32,
     to_gen: u32,
-) -> Result<Option<(TransferStat, Vec<u8>)>, HandoffError> {
-    // The final cut is the slot's newest frame. Its delta base — what a
-    // real destination would have pre-copied while the source still served
-    // — is the frame before it: the last periodic cut (or the seed this
-    // generation booted from). Read after the cut, it depends on the
+) -> Result<Option<(TransferStat, Vec<u8>)>, ShipError> {
+    // The final cut is the slot's newest valid frame. Its delta base — what
+    // a real destination would have pre-copied while the source still
+    // served — is the frame before it: the last periodic cut (or the seed
+    // this generation booted from). Read after the cut, it depends on the
     // request stream alone, never on how far a worker had got when the
-    // resize began.
+    // resize began. A base that does not decode as this shard's checkpoint
+    // (a scripted corruption left it torn) is no base: the cut ships full.
     let mut candidates = slot.candidates().into_iter();
-    let Some(final_frame) = candidates.next() else { return Ok(None) };
-    let base = candidates.find(|b| *b != final_frame);
-    let seq = ShardCheckpoint::from_frame(&final_frame).map(|c| c.seq).unwrap_or(0);
-    let payload = match &base {
-        Some(base_frame) => {
-            let base_seq = ShardCheckpoint::from_frame(base_frame).map(|c| c.seq).unwrap_or(0);
-            let delta = DeltaFrame::compute(base_frame, &final_frame);
-            TransferPayload::Delta { base_seq, frame: delta.to_frame() }
-        }
-        None => TransferPayload::Full(final_frame.clone()),
+    let Some((seq, cut)) = candidates.find_map(|f| Some((cut_seq(&f, s)?, f))) else {
+        return Ok(None);
     };
-    let envelope = TransferFrame {
-        source_shard: s,
-        target_shard: s,
-        from_generation: from_gen,
-        to_generation: to_gen,
-        seq,
-        payload,
-    };
-    // Round-trip through wire bytes: the destination decodes,
-    // generation-checks and re-validates; the resolved frame must be
-    // bitwise the final cut or the handoff fails loudly.
-    let wire = envelope.to_frame();
-    let parsed = TransferFrame::from_frame(&wire)?;
-    let resolved = parsed.resolve(to_gen, base.as_deref())?;
-    if resolved != final_frame {
-        return Err(state_err(format!("shard {s}: resolved transfer diverges from the final cut")));
-    }
-    let shipped_bytes = match &parsed.payload {
-        TransferPayload::Full(bytes) => bytes.len() as u64,
-        TransferPayload::Delta { frame, .. } => frame.len() as u64,
-    };
+    let base = candidates.find(|b| *b != cut).and_then(|b| Some((cut_seq(&b, s)?, b)));
+    let base = base.as_ref().map(|(base_seq, b)| (*base_seq, b.as_slice()));
+    let shipped = ship(ShipPurpose::Handoff, s, to_gen, seq, &cut, base)?;
     let stat = TransferStat {
         shard: s,
         from_generation: from_gen,
         to_generation: to_gen,
         seq,
-        full_bytes: final_frame.len() as u64,
-        shipped_bytes,
-        delta: matches!(parsed.payload, TransferPayload::Delta { .. }),
+        full_bytes: cut.len() as u64,
+        shipped_bytes: shipped.shipped_bytes,
+        delta: shipped.delta,
     };
-    Ok(Some((stat, resolved)))
+    Ok(Some((stat, shipped.image)))
+}
+
+/// The boundary `frame` was cut at, if it decodes as shard `s`'s checkpoint.
+fn cut_seq(frame: &[u8], s: usize) -> Option<u64> {
+    ShardCheckpoint::from_frame(frame).ok().filter(|c| c.shard == s).map(|c| c.seq)
+}
+
+/// Moves shard `s`'s cell one step along the handoff order.
+fn advance(cell: &ShardCell, s: usize, to: ShardPhase) -> Result<(), ShipError> {
+    cell.advance_phase(to).map_err(|from| ShipError::IllegalPhase { shard: s, from, to })
 }
 
 /// A per-generation driver factory borrowing the shared closure.
@@ -491,10 +462,4 @@ fn mint<D: AdmissionDriver + Send + 'static>(
 ) -> impl FnMut(usize) -> D + Send + 'static {
     let factory = Arc::clone(factory);
     move |s| (factory.lock().expect("driver factory poisoned"))(s)
-}
-
-/// Wraps a state-machine violation (a bug, not an I/O condition) into the
-/// handoff error space so `resize` has one error type.
-fn state_err(msg: impl Into<String>) -> HandoffError {
-    HandoffError::Frame(darwin_ckpt::CkptError::Malformed(msg.into()))
 }

@@ -22,19 +22,17 @@
 //! * [`ring`] — [`RingRouter`]: consistent-hash ring with virtual nodes;
 //!   resizing `N → M` remaps only `|M−N|/max(N,M)` of the keyspace, with
 //!   exact per-object stability guarantees (see the module docs).
-//! * [`delta`] — [`DeltaFrame`]: rsync-style block diff between two
-//!   checkpoint images, so a handoff ships O(churn) not O(cache) bytes
-//!   (hosted in [`darwin_ckpt`], re-exported here; the shard replication
-//!   layer shares it).
-//! * [`replica`] — [`ReplicaFrame`]: the role-tagged envelope primaries
-//!   feed hot standbys with (also hosted in [`darwin_ckpt`]).
-//! * [`handoff`] — [`TransferFrame`] (the sealed transfer envelope, full or
-//!   delta payload, generation-addressed) and [`HandoffTracker`] (the
-//!   one-way `Serving → Draining → Transferring → Retired` state machine).
-//! * [`elastic`] — [`ElasticFleet`]: the orchestrator that drains a
-//!   generation, ships the envelopes and boots the successor warm, keeping
-//!   the exactly-once conservation ledger intact across any resize
-//!   sequence.
+//! * [`elastic`] — [`ElasticFleet`]: the orchestrator that walks a
+//!   generation's shards through the one-way phase order `Serving →
+//!   Draining → Transferring → Retired`, ships each survivor's final cut and
+//!   boots the successor warm, keeping the exactly-once conservation ledger
+//!   intact across any resize sequence.
+//!
+//! A cut travels in the serving layer's one sealed shipping envelope,
+//! [`darwin_shard::ShipFrame`] tagged `Handoff` — the envelope a hot
+//! standby's `Replicate` feed uses too — as the full image or an O(churn)
+//! block delta against the pre-copied base. A failed resize reports a
+//! [`ShipError`].
 //!
 //! Every rebalance is byte-auditable: `DrainStart`, `HandoffCut`,
 //! `HandoffRestore`, `Cutover` and `RingResize` events land in the shards'
@@ -42,22 +40,8 @@
 //! bit-for-bit.
 
 pub mod elastic;
-pub mod handoff;
 pub mod ring;
 
-/// The block-delta codec, re-exported from [`darwin_ckpt`] where it now
-/// lives so the shard replication layer can share it (see that module's
-/// docs for the history).
-pub use darwin_ckpt::delta;
-/// The role-tagged replica envelope, re-exported from [`darwin_ckpt`].
-pub use darwin_ckpt::replica;
-
-pub use darwin_ckpt::delta::{DeltaFrame, DELTA_MAGIC, DELTA_VERSION};
-pub use darwin_ckpt::replica::{
-    ReplicaError, ReplicaFrame, ReplicaPayload, ReplicaRole, REPLICA_MAGIC, REPLICA_VERSION,
-};
+pub use darwin_shard::ShipError;
 pub use elastic::{ElasticFleet, ElasticProducer, ElasticReport, TransferStat};
-pub use handoff::{
-    HandoffError, HandoffTracker, TransferFrame, TransferPayload, TRANSFER_MAGIC, TRANSFER_VERSION,
-};
 pub use ring::{theoretical_remap, RingRouter, DEFAULT_SEED, DEFAULT_VNODES};

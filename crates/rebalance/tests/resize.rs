@@ -12,7 +12,8 @@
 use darwin_cache::{CacheConfig, CacheMetrics, ThresholdPolicy};
 use darwin_rebalance::{ElasticFleet, RingRouter, DEFAULT_SEED, DEFAULT_VNODES};
 use darwin_shard::{
-    Backpressure, EventKind, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, ShardPhase,
+    Backpressure, EventKind, FaultEvent, FaultKind, FaultPlan, FleetBoot, FleetConfig, Router,
+    ShardPhase,
 };
 use darwin_testbed::{AdmissionDriver, StaticDriver};
 use darwin_trace::{MixSpec, Request, Trace, TraceGenerator, TrafficClass};
@@ -317,6 +318,50 @@ fn shedding_fleet_conserves_across_resize() {
         report.submitted,
         "the generation rows partition the submitted total"
     );
+}
+
+/// A checkpoint corrupted after a shard's last periodic cut leaves a torn
+/// frame behind the final cut. It is no delta base: that shard's handoff
+/// ships the full image and its successor still boots warm, while the
+/// untouched shard ships a delta, and the ledger balances.
+#[test]
+fn corrupt_base_ships_the_full_cut() {
+    let trace = test_trace(6_000);
+    let fs = frames(&trace, 500);
+    let head = &fs[..6];
+    let ring = RingRouter::new(DEFAULT_SEED, DEFAULT_VNODES);
+    let routed = head.iter().flatten().filter(|r| ring.route(r.id, 2) == 0).count() as u64;
+    assert!(
+        !routed.is_multiple_of(CKPT_EVERY),
+        "shard 0's last request must follow its last periodic cut"
+    );
+    let policy = ThresholdPolicy::new(2, 100 * 1024);
+    let plan = FaultPlan::new(vec![FaultEvent {
+        shard: 0,
+        at: routed - 1,
+        kind: FaultKind::CorruptCheckpoint { torn: true },
+    }]);
+    let fleet: ElasticFleet<StaticDriver> = ElasticFleet::new(
+        fleet_cfg(2),
+        cache_cfg(),
+        Box::new(ring),
+        move |_| StaticDriver::new(policy),
+        FleetBoot { fault_plan: plan, ..FleetBoot::default() },
+    );
+    for f in head {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    let shipped = fleet.resize(2).expect("a torn base does not fail the resize");
+    let delta: Vec<_> = shipped.iter().map(|t| (t.shard, t.delta)).collect();
+    assert_eq!(delta, vec![(0, false), (1, true)], "{shipped:?}");
+    assert_eq!(shipped[0].shipped_bytes, shipped[0].full_bytes);
+    for f in &fs[6..] {
+        fleet.submit_frame(f.iter().cloned());
+    }
+    let report = fleet.finish(false);
+    assert!(report.conserved());
+    assert_eq!(report.total_processed(), trace.len() as u64);
+    assert_eq!(report.metrics.generations[1].warm_boots, 2, "both successors restore warm");
 }
 
 /// A driver that cannot checkpoint (the trait's default `save_state`).

@@ -908,25 +908,21 @@ impl<D: AdmissionDriver + Send + 'static, E: Envelope> ShardedFleet<D, E> {
         self.core.shards.iter().map(|sh| Arc::clone(&sh.slot)).collect()
     }
 
-    /// Asks every shard to cut a final [`ShardCheckpoint`] at its
-    /// end-of-stream request-sequence boundary (during the next
-    /// [`finish`](Self::finish)) and marks the shards as draining. The cut
+    /// Drains the fleet like [`finish`](Self::finish), but first asks every
+    /// shard to cut a final [`ShardCheckpoint`] at its end-of-stream
+    /// request-sequence boundary and marks the shards as draining. The cut
     /// lands in each shard's [`CheckpointSlot`] — including its disk spill
     /// when a checkpoint directory is configured — so a successor fleet can
     /// restore it warm. `target_shards` is journaled with the
     /// [`EventKind::DrainStart`] event.
-    pub fn request_final_cut(&self, target_shards: usize) {
+    pub fn finish_with_cut(self, target_shards: usize) -> FleetReport<D> {
         self.core.cut_target.store(target_shards as u64, Ordering::Release);
         for shard in &self.core.shards {
-            shard.cell.set_phase(ShardPhase::Draining);
+            // Every cell of a fleet that has not finished still serves, so
+            // this first step of the handoff order is never refused; the
+            // resize checks the later ones.
+            let _ = shard.cell.advance_phase(ShardPhase::Draining);
         }
-    }
-
-    /// [`request_final_cut`](Self::request_final_cut) followed by
-    /// [`finish`](Self::finish): drains the fleet and leaves each shard's
-    /// final-cut checkpoint in its slot (and spill file, when configured).
-    pub fn finish_with_cut(self, target_shards: usize) -> FleetReport<D> {
-        self.request_final_cut(target_shards);
         self.finish()
     }
 
@@ -1491,7 +1487,7 @@ fn worker<D: AdmissionDriver, E: Envelope>(ctx: WorkerCtx<D, E>) -> WorkerExit<D
 mod tests {
     use super::*;
     use crate::fault::FaultEvent;
-    use crate::router::{HashRouter, ModuloRouter};
+    use crate::router::HashRouter;
     use darwin_cache::ThresholdPolicy;
     use darwin_testbed::StaticDriver;
     use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
@@ -1611,16 +1607,16 @@ mod tests {
         let mut fleet = ShardedFleet::new(
             FleetConfig::with_shards(4),
             CacheConfig::small_test(),
-            Box::new(ModuloRouter),
+            Box::new(HashRouter),
             |_| StaticDriver::new(ThresholdPolicy::new(1, 100 * 1024)),
         );
         fleet.submit_trace(&t);
         let report = fleet.finish();
-        // Every shard saw work (modulo over dense generator IDs), and the
-        // shard request counts sum to the trace.
+        // Every shard saw work (the hash scatters dense generator IDs), and
+        // the shard request counts sum to the trace.
         assert_eq!(report.shards.iter().map(|s| s.cache.requests).sum::<u64>(), 10_000);
         assert!(report.shards.iter().all(|s| s.cache.requests > 0));
-        assert_eq!(report.router, "modulo");
+        assert_eq!(report.router, "hash");
     }
 
     #[test]

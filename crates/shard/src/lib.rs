@@ -44,18 +44,21 @@
 //!   request sequence numbers, so fault runs reproduce bit-for-bit (no wall
 //!   clock anywhere).
 //! * [`standby`] — hot-standby replication: a per-shard [`StandbySlot`] fed
-//!   a role-tagged replica frame (full image, then O(churn) deltas) at every
-//!   checkpoint cut. When a shard's restart budget is exhausted the standby
-//!   is *promoted* — its last applied frame is installed and the worker
-//!   warm-restarts from it, bitwise-identical to an unfailed run from the
-//!   checkpoint boundary — instead of burying the shard
-//!   (`tests/failover.rs`).
+//!   every checkpoint cut (full image, then O(churn) deltas). When a
+//!   shard's restart budget is exhausted the standby is *promoted* — its
+//!   last applied frame is installed and the worker warm-restarts from
+//!   it, bitwise-identical to an unfailed run from the checkpoint boundary
+//!   — instead of burying the shard (`tests/failover.rs`).
 //! * [`ckpt`] — warm-restart checkpoints: a versioned, CRC-64-guarded
 //!   [`ShardCheckpoint`] frame (cache image + driver state + deployed
 //!   policy) taken at request-sequence boundaries into a double-buffered
 //!   [`CheckpointSlot`] with optional atomic-rename disk spill. A respawned
 //!   worker restores the latest valid frame (warm restart) and falls back
 //!   cold when none validates.
+//! * [`mod@ship`] — the one sealed envelope a checkpoint travels in:
+//!   [`ShipFrame`], tagged replicate (to a standby) or handoff (to the next
+//!   generation of a resize), with one [`resolve`](ShipFrame::resolve) gate
+//!   and the [`ship()`] helper both paths call.
 //! * [`replay`] — the deterministic sequential side of the equivalence
 //!   contract: an N-shard fleet over a hash-partitioned trace is bitwise
 //!   identical to N sequential single-shard runs (`tests/equivalence.rs`
@@ -75,6 +78,7 @@ pub mod metrics;
 pub mod queue;
 pub mod replay;
 pub mod router;
+pub mod ship;
 pub mod standby;
 pub mod supervisor;
 
@@ -91,6 +95,9 @@ pub use metrics::{
 };
 pub use queue::{channel, Consumer, Producer, QueueGauges};
 pub use replay::{partition, run_partition, run_sequential, ShardRun};
-pub use router::{HashRouter, ModuloRouter, Router};
+pub use router::{mix64, HashRouter, Router};
+pub use ship::{
+    ship, ShipError, ShipFrame, ShipPayload, ShipPurpose, Shipped, SHIP_MAGIC, SHIP_VERSION,
+};
 pub use standby::{FeedOutcome, StandbySlot};
 pub use supervisor::{RestartBudget, Supervisor, SupervisorVerdict};

@@ -813,10 +813,17 @@ impl ShardCell {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// Advances the shard's handoff phase (no ordering enforcement here —
-    /// the rebalancer's tracker owns the state machine).
-    pub fn set_phase(&self, phase: ShardPhase) {
-        self.phase.store(phase.code(), Ordering::Relaxed);
+    /// Advances the shard's handoff phase to `to`, refusing any step that is
+    /// not the immediate next one ([`ShardPhase::can_advance_to`]): a shard
+    /// never skips `Transferring`, moves backwards or leaves `Retired`. A
+    /// refusal returns the phase the shard is still in.
+    pub fn advance_phase(&self, to: ShardPhase) -> Result<(), ShardPhase> {
+        let from = self.phase();
+        if !from.can_advance_to(to) {
+            return Err(from);
+        }
+        self.phase.store(to.code(), Ordering::Relaxed);
+        Ok(())
     }
 
     /// The shard's current handoff phase.
@@ -1160,7 +1167,7 @@ mod tests {
         assert_eq!(cell.generation(), 0);
         assert_eq!(cell.phase(), ShardPhase::Serving);
         cell.set_generation(3);
-        cell.set_phase(ShardPhase::Draining);
+        cell.advance_phase(ShardPhase::Draining).unwrap();
         cell.record_warm_boot();
         let s = cell.snapshot();
         assert_eq!(s.router_generation, 3);
@@ -1168,6 +1175,24 @@ mod tests {
         assert_eq!(s.warm_boots, 1);
         assert_eq!(s.warm_restarts, 0, "a boot is not a restart");
         assert_eq!(s.restarts, 0);
+    }
+
+    #[test]
+    fn cell_enforces_one_way_phase_order() {
+        use ShardPhase::*;
+        let cells: Vec<_> =
+            (0..2).map(|s| ShardCell::new(s, Arc::new(QueueGauges::default()))).collect();
+        assert_eq!(cells[0].advance_phase(Transferring), Err(Serving), "cannot skip draining");
+        cells[0].advance_phase(Draining).unwrap();
+        assert_eq!(cells[0].advance_phase(Draining), Err(Draining), "no self-loops");
+        cells[0].advance_phase(Transferring).unwrap();
+        cells[0].advance_phase(Retired).unwrap();
+        assert_eq!(cells[0].advance_phase(Serving), Err(Retired), "retired is terminal");
+        assert!(!cells.iter().all(|c| c.phase() == Retired));
+        for to in [Draining, Transferring, Retired] {
+            cells[1].advance_phase(to).unwrap();
+        }
+        assert!(cells.iter().all(|c| c.phase() == Retired));
     }
 
     #[test]

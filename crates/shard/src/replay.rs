@@ -107,7 +107,7 @@ pub fn run_sequential<D: AdmissionDriver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::{HashRouter, ModuloRouter};
+    use crate::router::HashRouter;
     use darwin_cache::ThresholdPolicy;
     use darwin_testbed::StaticDriver;
     use darwin_trace::{MixSpec, TraceGenerator, TrafficClass};
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn one_shard_partition_is_the_trace() {
         let t = trace(2_000, 2);
-        let parts = partition(&t, &ModuloRouter, 1);
+        let parts = partition(&t, &HashRouter, 1);
         assert_eq!(parts[0], t);
     }
 

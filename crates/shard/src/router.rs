@@ -9,8 +9,9 @@
 //!
 //! [`HashRouter`] is the production default (an avalanching 64-bit mix, so
 //! adjacent IDs scatter). The trait is the seam where locality- or
-//! load-aware placement plugs in later; [`ModuloRouter`] exists mainly to
-//! prove the seam works and for tests that want a predictable mapping.
+//! load-aware placement plugs in; the consistent-hash ring of
+//! `darwin-rebalance` is the other implementation, built on the same
+//! [`mix64`].
 
 use darwin_trace::ObjectId;
 
@@ -42,9 +43,10 @@ impl Router for std::sync::Arc<dyn Router> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashRouter;
 
-/// The 64-bit avalanche mix the hash router scatters IDs with.
+/// The 64-bit avalanche mix (SplitMix64 finalizer) the hash router
+/// scatters IDs with.
 #[inline]
-fn mix64(mut x: u64) -> u64 {
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -62,24 +64,6 @@ impl Router for HashRouter {
 
     fn label(&self) -> String {
         "hash".into()
-    }
-}
-
-/// Plain `id % shards` partitioning: predictable, but trace generators that
-/// namespace IDs by class in the high bits make it badly skewed — use it for
-/// tests, not serving.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ModuloRouter;
-
-impl Router for ModuloRouter {
-    #[inline]
-    fn route(&self, id: ObjectId, shards: usize) -> usize {
-        debug_assert!(shards > 0, "fleet has at least one shard");
-        (id % shards as u64) as usize
-    }
-
-    fn label(&self) -> String {
-        "modulo".into()
     }
 }
 
@@ -102,15 +86,14 @@ mod tests {
     fn single_shard_gets_everything() {
         for id in [0u64, 1, u64::MAX, 0xDEAD_BEEF] {
             assert_eq!(HashRouter.route(id, 1), 0);
-            assert_eq!(ModuloRouter.route(id, 1), 0);
         }
     }
 
     #[test]
     fn hash_router_balances_sequential_ids() {
         // Sequential IDs (the generator's common case) must spread close to
-        // uniformly — the property ModuloRouter lacks once IDs are
-        // namespaced.
+        // uniformly, even though the generator namespaces IDs by class in
+        // the high bits.
         let shards = 8;
         let mut counts = vec![0usize; shards];
         for id in 0..80_000u64 {
@@ -127,11 +110,8 @@ mod tests {
 
     #[test]
     fn routers_are_object_safe() {
-        let routers: Vec<Box<dyn Router>> = vec![Box::new(HashRouter), Box::new(ModuloRouter)];
-        assert_eq!(routers[0].label(), "hash");
-        assert_eq!(routers[1].label(), "modulo");
-        for r in &routers {
-            assert!(r.route(42, 4) < 4);
-        }
+        let router: Box<dyn Router> = Box::new(HashRouter);
+        assert_eq!(router.label(), "hash");
+        assert!(router.route(42, 4) < 4);
     }
 }

@@ -1,16 +1,16 @@
 //! Hot-standby replication state for one shard.
 //!
 //! A [`StandbySlot`] is the in-process stand-in for a standby cache node:
-//! the primary's worker *feeds* it a [`ReplicaFrame`] at every checkpoint
-//! cut, and the slot plays both ends of the replication channel — it seals
-//! the envelope exactly as a primary would put it on the wire, then decodes,
-//! address-checks and applies it exactly as a remote standby would. The
-//! first cut (and every re-seed after a promotion or a detected loss) ships
-//! the full checkpoint image; steady-state cuts ship a
-//! [`DeltaFrame`] against the frame the
-//! standby already holds, so replication costs O(churn) bytes per
-//! checkpoint window. The standby therefore always trails the primary by at
-//! most one checkpoint window — the lag bound the failover contract quotes.
+//! the primary's worker *feeds* it every checkpoint cut, and the slot ships
+//! the cut through [`ship`] with [`ShipPurpose::Replicate`], which plays
+//! both ends of the channel — it seals the envelope exactly as a primary
+//! would put it on the wire, then decodes, address-checks and re-validates
+//! it exactly as a remote standby would. The first cut (and every re-seed
+//! after a promotion or a detected loss) ships the full checkpoint image;
+//! steady-state cuts ship a delta against the frame the standby already
+//! holds, so replication costs O(churn) bytes per checkpoint window. The
+//! standby therefore always trails the primary by at most one checkpoint
+//! window — the lag bound the failover contract quotes.
 //!
 //! When the shard's restart budget is exhausted, the fleet asks
 //! [`ready`](StandbySlot::ready) and, on a
@@ -30,9 +30,7 @@
 //! [`CorruptStandby`](crate::fault::FaultKind::CorruptStandby) fault drives
 //! the same path deterministically via [`poison`](StandbySlot::poison).
 
-use crate::ckpt::ShardCheckpoint;
-use darwin_ckpt::delta::DeltaFrame;
-use darwin_ckpt::replica::{ReplicaError, ReplicaFrame, ReplicaPayload, ReplicaRole};
+use crate::ship::{ship, ShipPurpose, Shipped};
 use std::sync::Mutex;
 
 /// What one replication feed did to the standby.
@@ -93,67 +91,34 @@ impl StandbySlot {
         Self { shard, state: Mutex::new(StandbyState::default()) }
     }
 
-    /// Shard this standby replicates.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// Feeds the checkpoint cut at `seq` (the sealed
-    /// [`ShardCheckpoint`] frame bytes) through the replication channel:
-    /// seals a role-tagged [`ReplicaFrame`] on the primary side, then
-    /// decodes, address-checks, resolves and re-validates it on the standby
-    /// side before storing. The loopback is deliberate — the bytes that
-    /// reach the standby's state are exactly the bytes that survived the
-    /// wire format's gauntlet, so a corrupted or misrouted envelope can
-    /// fail loudly but never silently mis-apply.
+    /// [`ShardCheckpoint`](crate::ShardCheckpoint) frame bytes) through
+    /// [`ship`]: a delta against the held frame when the standby has one,
+    /// the full image otherwise. Only an image that survived the envelope's
+    /// decode, address check and checkpoint re-validation is stored, so a
+    /// corrupted or misrouted shipment can fail loudly but never silently
+    /// mis-apply.
     pub fn feed(&self, generation: u32, seq: u64, frame: &[u8]) -> FeedOutcome {
         let mut st = self.state.lock().expect("standby slot poisoned");
         let was_lost = std::mem::take(&mut st.lost);
         if was_lost {
             st.frame = None;
         }
-        // Primary side: delta against the standby's held frame when it has
-        // one, full image otherwise.
-        let (payload, lag) = match &st.frame {
-            Some(base) => {
-                let delta = DeltaFrame::compute(base, frame);
-                (
-                    ReplicaPayload::Delta { base_seq: st.seq, frame: delta.to_frame() },
-                    seq.saturating_sub(st.seq),
-                )
-            }
-            None => (ReplicaPayload::Full(frame.to_vec()), 0),
-        };
-        let envelope =
-            ReplicaFrame { shard: self.shard, generation, role: ReplicaRole::Primary, seq, payload };
-        let wire = envelope.to_frame();
-        // Standby side: full decode + apply gate + checkpoint re-validation.
-        let applied = ReplicaFrame::from_frame(&wire)
-            .map_err(ReplicaError::from)
-            .and_then(|env| {
-                let shipped = env.shipped_bytes();
-                env.resolve(self.shard, generation, st.frame.as_deref()).map(|img| (img, shipped))
-            })
-            .ok()
-            .filter(|(img, _)| {
-                ShardCheckpoint::from_frame(img)
-                    .map(|c| c.shard == self.shard && c.seq == seq)
-                    .unwrap_or(false)
-            });
-        match applied {
-            Some((image, shipped_bytes)) => {
-                let seeded = st.frame.is_none();
+        let base = st.frame.as_deref().map(|held| (st.seq, held));
+        match ship(ShipPurpose::Replicate, self.shard, generation, seq, frame, base) {
+            Ok(Shipped { image, shipped_bytes, delta }) => {
+                let lag = seq.saturating_sub(st.seq);
                 st.frame = Some(image);
                 st.seq = seq;
                 if was_lost {
                     FeedOutcome::Replaced { shipped_bytes }
-                } else if seeded {
-                    FeedOutcome::Seeded { shipped_bytes }
-                } else {
+                } else if delta {
                     FeedOutcome::Applied { shipped_bytes, lag }
+                } else {
+                    FeedOutcome::Seeded { shipped_bytes }
                 }
             }
-            None => {
+            Err(_) => {
                 st.frame = None;
                 st.lost = true;
                 FeedOutcome::Lost
@@ -205,6 +170,7 @@ impl StandbySlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::ShardCheckpoint;
     use darwin_cache::ThresholdPolicy;
 
     fn ckpt_frame(shard: usize, seq: u64, fill: u8) -> Vec<u8> {

@@ -3,11 +3,16 @@
 //! `FeatureExtractor` whose encoded state hashes to constants recorded when
 //! the format was last changed. Warm-boot files written by earlier builds
 //! therefore still restore, and per-map hasher keys never reach the bytes.
+//! The bytes a shard ships are pinned the same way: a `DeltaFrame` between
+//! two fixed images, and one `Full` and one `Delta` shipping envelope of
+//! each purpose.
 
 use darwin_cache::server::FrequencyMode;
 use darwin_cache::{CacheConfig, CacheServer, ThresholdPolicy};
+use darwin_ckpt::delta::DeltaFrame;
 use darwin_ckpt::Enc;
 use darwin_features::FeatureExtractor;
+use darwin_shard::{ShipFrame, ShipPayload, ShipPurpose};
 use darwin_trace::{MixSpec, Trace, TraceGenerator, TrafficClass};
 
 /// FNV-1a, 64-bit: a stable digest with no dependency behind it.
@@ -72,6 +77,54 @@ fn feature_extractor_bytes_are_pinned() {
     assert_eq!((bytes.len(), fnv1a(&bytes)), (FEATURES_LEN, FEATURES_FNV));
 }
 
+/// A fixed pseudo-random image (64-bit LCG, top byte of each step).
+fn image(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (x >> 56) as u8
+        })
+        .collect()
+}
+
+/// A base image and its successor: one churned run in the middle and a
+/// grown tail, so the delta carries both copy and literal ops.
+fn delta_pair() -> (Vec<u8>, Vec<u8>) {
+    let base = image(64 * 1024, 2);
+    let mut target = base.clone();
+    for b in &mut target[1_000..1_200] {
+        *b ^= 0x5A;
+    }
+    target.extend(image(300, 7));
+    (base, target)
+}
+
+#[test]
+fn delta_frame_bytes_are_pinned() {
+    let (base, target) = delta_pair();
+    let frame = DeltaFrame::compute(&base, &target).to_frame();
+    assert_eq!((frame.len(), fnv1a(&frame)), (DELTA_LEN, DELTA_FNV));
+    assert_eq!(DeltaFrame::from_frame(&frame).unwrap().apply(&base).unwrap(), target);
+}
+
+#[test]
+fn shipping_envelope_bytes_are_pinned() {
+    let (base, target) = delta_pair();
+    let delta = DeltaFrame::compute(&base, &target).to_frame();
+    let mut pins = Vec::new();
+    for purpose in [ShipPurpose::Replicate, ShipPurpose::Handoff] {
+        for payload in [
+            ShipPayload::Full(target.clone()),
+            ShipPayload::Delta { base_seq: 4_000, frame: delta.clone() },
+        ] {
+            let wire = ShipFrame { purpose, shard: 3, generation: 2, seq: 5_000, payload }.to_frame();
+            pins.push((wire.len(), fnv1a(&wire)));
+        }
+    }
+    assert_eq!(pins, SHIP_PINS);
+}
+
 // Recorded before object-id maps moved to the keyed `IdHash`; a mismatch
 // means checkpoints saved by earlier builds no longer restore.
 const EXACT_LEN: usize = 552_866;
@@ -80,3 +133,17 @@ const SKETCH_LEN: usize = 408_470;
 const SKETCH_FNV: u64 = 6_607_403_689_306_750_806;
 const FEATURES_LEN: usize = 557_168;
 const FEATURES_FNV: u64 = 6_103_537_689_460_739_481;
+
+// Recorded before the replica and transfer envelopes merged into one: the
+// delta payload both of them carried must not move.
+const DELTA_LEN: usize = 670;
+const DELTA_FNV: u64 = 14_304_040_918_718_968_807;
+
+// Recorded when the shipping envelope was introduced, in the order
+// (Replicate, Full), (Replicate, Delta), (Handoff, Full), (Handoff, Delta).
+const SHIP_PINS: [(usize, u64); 4] = [
+    (65_888, 13_880_144_742_793_493_103),
+    (730, 11_050_057_505_781_507_569),
+    (65_888, 4_758_879_757_764_380_626),
+    (730, 12_343_019_227_032_548_925),
+];

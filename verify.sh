@@ -44,8 +44,8 @@ cargo test -p darwin-shard --test restore -q -- \
 echo "== failover equivalence (standby promotion bitwise at 1, 2, 8 shards; zero Unavailable) =="
 cargo test -p darwin-shard --test failover -q
 
-echo "== replica + RESIZE wire hostile corpus (never panic, never silent mis-apply) =="
-cargo test -p darwin-rebalance --test codec_props -q
+echo "== shipping envelope + RESIZE wire hostile corpus (never panic, never silent mis-apply) =="
+cargo test -p darwin-shard --test ship_corpus -q
 cargo test -p darwin-gateway --test wire_codec -q
 
 echo "== chaos bench smoke (scripted shard deaths, exactly-once answering) =="
